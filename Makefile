@@ -37,11 +37,11 @@ shape-full:
 # Benchmarks for the hot packages plus the tracked core baseline:
 # killi-bench rewrites BENCH_core.json's "current" entry (ns/event,
 # allocs/event, single-run wall-clock, serial sweep wall-clock, cold/warm
-# cached sweep, K=1..8 shard-scaling curve) while preserving "baseline".
+# cached sweep, scheduling counters) while preserving "baseline".
 # `make bench-enforce` additionally fails on a >15% regression against the
 # committed baseline (2x on the warm-cache sweep, 1.5x/2x throughput
 # floors on campaign dies/s and warm-request RPS) or on a zero-valued
-# gated baseline field — the same gate CI runs at K=1.
+# gated baseline field — the same gate CI runs.
 bench:
 	$(GO) test -bench=. -benchmem ./internal/engine ./internal/stats
 	$(GO) run ./cmd/killi-bench -o BENCH_core.json

@@ -5,27 +5,20 @@
 // Captured metrics:
 //
 //   - engine ns/event and allocs/event: a steady-state event-queue
-//     microbenchmark over the sharded engine's K=1 serial fast path
-//     (reused engine and sink, 100 events per iteration) via
-//     testing.Benchmark;
+//     microbenchmark over the engine's pop loop (reused engine and sink,
+//     100 events per iteration) via testing.Benchmark;
 //   - single_run_seconds: wall-clock (best of 3) for one simulation —
-//     xsbench × killi-1:64 at 0.625xVDD, 2500 requests per CU — at the
-//     -shards setting; this is the metric intra-run sharding moves;
+//     xsbench × killi-1:64 at 0.625xVDD, 2500 requests per CU;
 //   - sweep_seconds: wall-clock for the serial (-parallel 1) four-workload
 //     Figure 4/5 sweep at 0.625xVDD with 2500 requests per CU, no cache;
 //   - sweep_cold_seconds: the same sweep writing a fresh result cache
 //     (simulate everything, persist every task result);
 //   - sweep_warm_seconds: the same sweep again over that cache (every
 //     task served from disk);
-//   - shard_curve_single_run_seconds: the single-run wall-clock at
-//     K = 1, 2, 4, 8 shards (always measured serially per point), the
-//     scaling table EXPERIMENTS.md cites;
-//   - single_run_cycles, single_run_serial_timestamps and
-//     single_run_rounds_k4: the tracked run's deterministic scheduling
-//     ledger — simulated cycles, the serial engine's distinct event
-//     timestamps (the barrier rounds a per-timestamp scheduler needs), and
-//     the K=4 coalesced round count. Pure functions of the simulation, so
-//     they gate lookahead coalescing exactly even on a 1-core host;
+//   - single_run_cycles and single_run_serial_timestamps: the tracked
+//     run's deterministic scheduling ledger — simulated cycles and the
+//     engine's distinct event timestamps. Pure functions of the
+//     simulation, so they gate exactly on any host;
 //   - server_cold_rps and server_hot_rps: requests per second through the
 //     killi-simd job API (internal/simserver over HTTP) — cold drives
 //     distinct jobs that all simulate, hot replays them against the warm
@@ -63,12 +56,7 @@
 // not a skip.
 // The deterministic scheduling gates are exact: cycles and serial
 // timestamps must match the baseline bit-for-bit (a change means the
-// simulation's semantics moved — rebase deliberately, with the goldens),
-// single_run_rounds_k4 may only decrease, and rounds_k4 × 5 <= cycles
-// pins the coalescing win over the per-cycle round structure. The shard
-// curve gates by host width: on >= 4 CPUs, K=4 must be >= 2x faster than
-// K=1; on narrower hosts (where the curve is honestly overhead-only) each
-// point must stay within 1.5x of the recorded baseline curve.
+// simulation's semantics moved — rebase deliberately, with the goldens).
 package main
 
 import (
@@ -80,7 +68,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -117,16 +104,11 @@ type point struct {
 	// JSON stays uniform. Identical on every host at a given commit.
 	SingleRunCycles           float64 `json:"single_run_cycles"`
 	SingleRunSerialTimestamps float64 `json:"single_run_serial_timestamps"`
-	SingleRunRoundsK4         float64 `json:"single_run_rounds_k4"`
 }
 
 type report struct {
-	Baseline   point              `json:"baseline"`
-	Current    point              `json:"current"`
-	ShardCurve map[string]float64 `json:"shard_curve_single_run_seconds,omitempty"`
-	// ShardCurveBaseline is the committed reference curve the narrow-host
-	// regression gate compares against (preserved like Baseline).
-	ShardCurveBaseline map[string]float64 `json:"shard_curve_baseline_seconds,omitempty"`
+	Baseline point `json:"baseline"`
+	Current  point `json:"current"`
 }
 
 const eventsPerIter = 100
@@ -136,13 +118,11 @@ type sinkFunc func(kind uint8, a, b uint64)
 
 func (f sinkFunc) OnEvent(kind uint8, a, b uint64) { f(kind, a, b) }
 
-// benchEngine measures the sharded engine's K=1 serial fast path — the
-// path every default simulation runs on — with a self-rescheduling sink
-// that keeps the queue warm, mirroring the engine package's steady-state
-// benchmark.
+// benchEngine measures the engine's pop loop — the path every simulation
+// runs on — with a self-rescheduling sink that keeps the queue warm.
 func benchEngine() (nsPerEvent, allocsPerEvent float64) {
 	res := testing.Benchmark(func(b *testing.B) {
-		s := engine.NewSharded(1)
+		s := engine.New(1)
 		d := s.Domain(0)
 		d.Bind(sinkFunc(func(kind uint8, a, bb uint64) {
 			if a%2 == 0 {
@@ -168,36 +148,33 @@ func benchEngine() (nsPerEvent, allocsPerEvent float64) {
 
 // sweepConfig is the fixed benchmark sweep; cacheDir == "" disables the
 // result cache.
-func sweepConfig(cacheDir string, shards int) experiments.Config {
+func sweepConfig(cacheDir string) experiments.Config {
 	return experiments.Config{
 		Voltage:       0.625,
 		RequestsPerCU: 2500,
 		Seed:          1,
 		Workloads:     []string{"nekbone", "quicksilver", "xsbench", "fft"},
 		Parallelism:   1,
-		Shards:        shards,
 		CacheDir:      cacheDir,
 	}
 }
 
-func benchSweep(cacheDir string, shards int) (float64, error) {
+func benchSweep(cacheDir string) (float64, error) {
 	start := time.Now()
-	if _, err := experiments.Run(context.Background(), sweepConfig(cacheDir, shards)); err != nil {
+	if _, err := experiments.Run(context.Background(), sweepConfig(cacheDir)); err != nil {
 		return 0, err
 	}
 	return time.Since(start).Seconds(), nil
 }
 
-// benchSingle measures one simulation's wall-clock (best of three) at the
-// given shard count — the sweep's memory-bound cell, xsbench × killi-1:64
-// — and returns the run's result, whose Sched ledger carries the
-// deterministic round/timestamp counters for that shard count.
-func benchSingle(shards int) (float64, gpu.Result, error) {
+// benchSingle measures one simulation's wall-clock (best of three) — the
+// sweep's memory-bound cell, xsbench × killi-1:64 — and returns the run's
+// result, whose Sched ledger carries the deterministic timestamp counter.
+func benchSingle() (float64, gpu.Result, error) {
 	cfg := experiments.Config{
 		Voltage:       0.625,
 		RequestsPerCU: 2500,
 		Seed:          1,
-		Shards:        shards,
 	}
 	newScheme := func() protection.Scheme { return killi.New(killi.Config{Ratio: 64}) }
 	best := 0.0
@@ -291,7 +268,7 @@ const (
 // to land around a second on a 1-core host. Best of two, because the noise
 // on a shared core is purely additive slowdown. cacheDir == "" disables the
 // die cache (the cold configuration campaign_dies_per_second tracks).
-func benchCampaign(shards int, cacheDir string) (diesPerSecond float64, err error) {
+func benchCampaign(cacheDir string) (diesPerSecond float64, err error) {
 	best := 0.0
 	for i := 0; i < 2; i++ {
 		res, err := campaign.Run(context.Background(), campaign.Config{
@@ -302,7 +279,6 @@ func benchCampaign(shards int, cacheDir string) (diesPerSecond float64, err erro
 			Seed:          1,
 			RequestsPerCU: 1200,
 			Parallelism:   1,
-			Shards:        shards,
 			CacheDir:      cacheDir,
 		})
 		if err != nil {
@@ -319,16 +295,16 @@ func benchCampaign(shards int, cacheDir string) (diesPerSecond float64, err erro
 // fresh cache dir populates it with die records (and warms the page cache),
 // then the best of two fully warm passes is the tracked rate — every die
 // streamed from disk, no fault maps, no simulation.
-func benchCampaignWarm(shards int) (float64, error) {
+func benchCampaignWarm() (float64, error) {
 	dir, err := os.MkdirTemp("", "killi-bench-campaign-")
 	if err != nil {
 		return 0, err
 	}
 	defer os.RemoveAll(dir)
-	if _, err := benchCampaign(shards, dir); err != nil {
+	if _, err := benchCampaign(dir); err != nil {
 		return 0, err
 	}
-	return benchCampaign(shards, dir)
+	return benchCampaign(dir)
 }
 
 const campaignDies = 12
@@ -419,97 +395,32 @@ func enforce(baseline, cur point) []string {
 				g.name, g.cur, g.base))
 		}
 	}
-	switch {
-	case baseline.SingleRunRoundsK4 == 0:
-		bad = append(bad, "single_run_rounds_k4 baseline is 0 — rebase the baseline (delete the file and rerun)")
-	case cur.SingleRunRoundsK4 > baseline.SingleRunRoundsK4:
-		bad = append(bad, fmt.Sprintf("single_run_rounds_k4 %.0f exceeds baseline %.0f — lookahead coalescing regressed",
-			cur.SingleRunRoundsK4, baseline.SingleRunRoundsK4))
-	}
-	if cur.SingleRunRoundsK4*5 > cur.SingleRunCycles {
-		bad = append(bad, fmt.Sprintf("single_run_rounds_k4 %.0f × 5 exceeds single_run_cycles %.0f — barrier rounds must stay >= 5x below the per-cycle round structure",
-			cur.SingleRunRoundsK4, cur.SingleRunCycles))
-	}
-	return bad
-}
-
-// enforceCurve gates the shard-scaling curve by host width: a host with at
-// least four CPUs must show the real parallel win (K=4 at least 2x faster
-// than K=1); a narrower host cannot, so it gates each recorded point
-// against the committed baseline curve instead (1.5x — wall-clock on
-// loaded CI runners is noisy, but a doubling still fails).
-func enforceCurve(baseline, cur map[string]float64, ncpu int) []string {
-	var bad []string
-	if ncpu >= 4 {
-		k1, k4 := cur["1"], cur["4"]
-		if k1 == 0 || k4 == 0 {
-			bad = append(bad, "shard curve is missing the K=1 or K=4 point")
-		} else if k4 > k1/2 {
-			bad = append(bad, fmt.Sprintf("K=4 single run %.3fs is not >= 2x faster than K=1 %.3fs on a %d-CPU host",
-				k4, k1, ncpu))
-		}
-		return bad
-	}
-	for _, k := range []string{"1", "2", "4", "8"} {
-		base := baseline[k]
-		if base == 0 {
-			bad = append(bad, fmt.Sprintf("shard curve baseline has no K=%s point — rebase the baseline", k))
-			continue
-		}
-		if c := cur[k]; c > base*1.5 {
-			bad = append(bad, fmt.Sprintf("shard curve K=%s %.3fs exceeds baseline %.3fs by more than 50%%", k, c, base))
-		}
-	}
 	return bad
 }
 
 func main() {
 	out := flag.String("o", "BENCH_core.json", "output file for the benchmark report")
 	gate := flag.Bool("enforce", false, "exit nonzero on regression against the file's baseline entry (15% latency, 2x warm cache, 1.5x/2x throughput floors), nonzero allocs_per_event, or a zero-valued gated baseline field")
-	shards := flag.Int("shards", 1, "intra-run shard count for the sweep and single-run measurements (the shard curve always covers K=1..8)")
 	flag.Parse()
 
 	ns, allocs := benchEngine()
-	fmt.Fprintf(os.Stderr, "engine: %.1f ns/event, %.2f allocs/event (K=1 serial path)\n", ns, allocs)
+	fmt.Fprintf(os.Stderr, "engine: %.1f ns/event, %.2f allocs/event\n", ns, allocs)
 
-	single, _, err := benchSingle(*shards)
+	single, res, err := benchSingle()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: single run: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "single: %.3f s (xsbench x killi-1:64, 2500 req/CU, %d shards, best of 3)\n",
-		single, *shards)
+	cycles, serialStamps := res.Cycles, res.Sched.Timestamps
+	fmt.Fprintf(os.Stderr, "single: %.3f s (xsbench x killi-1:64, 2500 req/CU, best of 3; %d cycles, %d event timestamps)\n",
+		single, cycles, serialStamps)
 
-	curve := map[string]float64{}
-	var cycles, serialStamps, roundsK4 uint64
-	for _, k := range []int{1, 2, 4, 8} {
-		s, res, err := benchSingle(k)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "killi-bench: shard curve K=%d: %v\n", k, err)
-			os.Exit(1)
-		}
-		curve[fmt.Sprintf("%d", k)] = s
-		switch k {
-		case 1:
-			cycles = res.Cycles
-			serialStamps = res.Sched.Timestamps
-		case 4:
-			roundsK4 = res.Sched.Rounds
-		}
-		fmt.Fprintf(os.Stderr, "curve:  K=%d %.3f s (rounds %d, cross-shard msgs %d, ingests skipped %d)\n",
-			k, s, res.Sched.Rounds, res.Sched.CrossShardMessages, res.Sched.IngestsSkipped)
-	}
-	fmt.Fprintf(os.Stderr, "sched:  %d cycles, %d serial timestamps -> %d K=4 rounds (%.2fx vs per-cycle, %.2fx vs per-timestamp)\n",
-		cycles, serialStamps, roundsK4,
-		float64(cycles)/float64(roundsK4), float64(serialStamps)/float64(roundsK4))
-
-	sweep, err := benchSweep("", *shards)
+	sweep, err := benchSweep("")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: sweep: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "sweep:  %.3f s (4 workloads, 2500 req/CU, serial, no cache, %d shards)\n",
-		sweep, *shards)
+	fmt.Fprintf(os.Stderr, "sweep:  %.3f s (4 workloads, 2500 req/CU, serial, no cache)\n", sweep)
 
 	cacheDir, err := os.MkdirTemp("", "killi-bench-cache-")
 	if err != nil {
@@ -517,12 +428,12 @@ func main() {
 		os.Exit(1)
 	}
 	defer os.RemoveAll(cacheDir)
-	cold, err := benchSweep(cacheDir, *shards)
+	cold, err := benchSweep(cacheDir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: cold sweep: %v\n", err)
 		os.Exit(1)
 	}
-	warm, err := benchSweep(cacheDir, *shards)
+	warm, err := benchSweep(cacheDir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: warm sweep: %v\n", err)
 		os.Exit(1)
@@ -538,7 +449,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "server: cold %.1f req/s -> hot %.1f req/s (%d jobs via the killi-simd API)\n",
 		coldRPS, hotRPS, serverJobs)
 
-	diesPerSec, err := benchCampaign(*shards, "")
+	diesPerSec, err := benchCampaign("")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: campaign: %v\n", err)
 		os.Exit(1)
@@ -546,7 +457,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "fleet:  %.2f dies/s (%d dies, 2 schemes x 2 voltages, 1200 req/CU, serial)\n",
 		diesPerSec, campaignDies)
 
-	warmDies, err := benchCampaignWarm(*shards)
+	warmDies, err := benchCampaignWarm()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: warm campaign: %v\n", err)
 		os.Exit(1)
@@ -567,9 +478,8 @@ func main() {
 		CampaignWarmDiesPerSecond: warmDies,
 		SingleRunCycles:           float64(cycles),
 		SingleRunSerialTimestamps: float64(serialStamps),
-		SingleRunRoundsK4:         float64(roundsK4),
 	}
-	rep := report{Baseline: cur, Current: cur, ShardCurve: curve, ShardCurveBaseline: curve}
+	rep := report{Baseline: cur, Current: cur}
 	if prev, err := os.ReadFile(*out); err == nil {
 		var old report
 		if json.Unmarshal(prev, &old) == nil && old.Baseline != (point{}) {
@@ -591,10 +501,6 @@ func main() {
 			if rep.Baseline.SingleRunCycles == 0 {
 				rep.Baseline.SingleRunCycles = cur.SingleRunCycles
 				rep.Baseline.SingleRunSerialTimestamps = cur.SingleRunSerialTimestamps
-				rep.Baseline.SingleRunRoundsK4 = cur.SingleRunRoundsK4
-			}
-			if len(old.ShardCurveBaseline) > 0 {
-				rep.ShardCurveBaseline = old.ShardCurveBaseline
 			}
 		}
 	}
@@ -614,9 +520,7 @@ func main() {
 		rep.Baseline.SweepSeconds/rep.Current.SweepSeconds, single, warm)
 
 	if *gate {
-		bad := enforce(rep.Baseline, cur)
-		bad = append(bad, enforceCurve(rep.ShardCurveBaseline, curve, runtime.NumCPU())...)
-		if len(bad) > 0 {
+		if bad := enforce(rep.Baseline, cur); len(bad) > 0 {
 			for _, b := range bad {
 				fmt.Fprintf(os.Stderr, "killi-bench: REGRESSION: %s\n", b)
 			}

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -20,7 +24,6 @@ func goodPoint() point {
 		CampaignWarmDiesPerSecond: 400,
 		SingleRunCycles:           65000,
 		SingleRunSerialTimestamps: 24000,
-		SingleRunRoundsK4:         12000,
 	}
 }
 
@@ -133,8 +136,8 @@ func TestEnforceAllocGate(t *testing.T) {
 }
 
 // TestEnforceSchedulingGates pins the deterministic counters: cycles and
-// serial timestamps gate exactly (any difference is a semantic change),
-// rounds may only decrease, and rounds × 5 must stay within cycles.
+// serial timestamps gate exactly, in both directions (any difference is a
+// semantic change).
 func TestEnforceSchedulingGates(t *testing.T) {
 	base := goodPoint()
 
@@ -143,26 +146,12 @@ func TestEnforceSchedulingGates(t *testing.T) {
 	assertViolation(t, enforce(base, cur), "single_run_cycles")
 
 	cur = base
+	cur.SingleRunCycles--
+	assertViolation(t, enforce(base, cur), "single_run_cycles")
+
+	cur = base
 	cur.SingleRunSerialTimestamps--
 	assertViolation(t, enforce(base, cur), "single_run_serial_timestamps")
-
-	cur = base
-	cur.SingleRunRoundsK4++
-	assertViolation(t, enforce(base, cur), "coalescing regressed")
-
-	// Fewer rounds than baseline is an improvement, not a violation.
-	cur = base
-	cur.SingleRunRoundsK4 = base.SingleRunRoundsK4 / 2
-	if bad := enforce(base, cur); len(bad) != 0 {
-		t.Fatalf("round-count improvement flagged: %v", bad)
-	}
-
-	// The 5x coalescing floor is absolute, even when the baseline agrees.
-	cur = base
-	cur.SingleRunCycles = cur.SingleRunRoundsK4 * 4
-	base5 := base
-	base5.SingleRunCycles = cur.SingleRunCycles
-	assertViolation(t, enforce(base5, cur), "5")
 }
 
 // TestEnforceZeroBaselines pins that a zero-valued gated baseline field is
@@ -173,40 +162,29 @@ func TestEnforceZeroBaselines(t *testing.T) {
 		"ns_per_event", "single_run_seconds", "sweep_seconds",
 		"sweep_cold_seconds", "sweep_warm_seconds",
 		"campaign_dies_per_second", "server_hot_rps",
-		"single_run_cycles", "single_run_serial_timestamps", "single_run_rounds_k4",
+		"single_run_cycles", "single_run_serial_timestamps",
 	} {
 		assertViolation(t, bad, name)
 	}
 }
 
-// TestEnforceCurveWideHost pins the >= 4-CPU speedup gate: K=4 must be at
-// least 2x faster than K=1, regardless of the recorded baseline.
-func TestEnforceCurveWideHost(t *testing.T) {
-	base := map[string]float64{"1": 0.03, "2": 0.04, "4": 0.06, "8": 0.09}
-	win := map[string]float64{"1": 0.030, "2": 0.020, "4": 0.014, "8": 0.012}
-	if bad := enforceCurve(base, win, 8); len(bad) != 0 {
-		t.Fatalf("2.1x speedup flagged on an 8-CPU host: %v", bad)
+// TestShardsFlagUnknown pins that -shards is not a flag (simulations run on
+// one serial engine): it exits 2 at flag parsing, before any measurement.
+func TestShardsFlagUnknown(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a real binary; skipped in -short")
 	}
-	lose := map[string]float64{"1": 0.030, "2": 0.025, "4": 0.016, "8": 0.015}
-	assertViolation(t, enforceCurve(base, lose, 4), "not >= 2x faster")
-	assertViolation(t, enforceCurve(base, map[string]float64{"1": 0.03}, 4), "missing")
-}
-
-// TestEnforceCurveNarrowHost pins the 1-core fallback: each point gates
-// against the committed baseline curve at 1.5x, and a missing baseline
-// point is an error, not a skip.
-func TestEnforceCurveNarrowHost(t *testing.T) {
-	base := map[string]float64{"1": 0.03, "2": 0.04, "4": 0.06, "8": 0.09}
-	same := map[string]float64{"1": 0.031, "2": 0.042, "4": 0.058, "8": 0.093}
-	if bad := enforceCurve(base, same, 1); len(bad) != 0 {
-		t.Fatalf("in-budget curve flagged on a 1-CPU host: %v", bad)
+	bin := filepath.Join(t.TempDir(), "killi-bench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	worse := map[string]float64{"1": 0.031, "2": 0.042, "4": 0.095, "8": 0.093}
-	assertViolation(t, enforceCurve(base, worse, 1), "K=4")
-	assertViolation(t, enforceCurve(map[string]float64{"1": 0.03}, same, 2), "no K=2 point")
-	// The wide-host gate must NOT fire on a narrow host even when K=4 is
-	// slower than K=1 — a 1-core curve is honestly overhead-only.
-	if bad := enforceCurve(base, same, 2); len(bad) != 0 {
-		t.Fatalf("overhead-only curve flagged on a 2-CPU host: %v", bad)
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-shards", "2")
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+		!strings.Contains(stderr.String(), "flag provided but not defined: -shards") {
+		t.Fatalf("-shards 2: err %v, want exit code 2 for an unknown flag; stderr:\n%s", err, stderr.String())
 	}
 }

@@ -202,3 +202,20 @@ func TestResumeNeedsCheckpoint(t *testing.T) {
 		t.Errorf("want a one-line error, got:\n%s", msg)
 	}
 }
+
+// TestShardsFlagUnknown pins that -shards is not a flag (simulations run on
+// one serial engine): it exits 2 at flag parsing, before any work starts.
+func TestShardsFlagUnknown(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a real binary; skipped in -short")
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(buildFleet(t), "-shards", "2")
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+		!strings.Contains(stderr.String(), "flag provided but not defined: -shards") {
+		t.Fatalf("-shards 2: err %v, want exit code 2 for an unknown flag; stderr:\n%s", err, stderr.String())
+	}
+}

@@ -16,7 +16,7 @@
 // axis — semicolon-separated faultmodel.ClassSyntax specs (semicolons
 // because mixed specs contain commas), one campaign pass per spec, reported
 // in the "classes" output column. A fixed -seed reproduces the output
-// bit-for-bit at any -parallel and -shards value. SIGINT or SIGTERM
+// bit-for-bit at any -parallel value. SIGINT or SIGTERM
 // cancels in-flight simulations at their next kernel boundary and exits 130.
 //
 // -cache <dir> enables the content-addressed result cache at two grains: a
@@ -58,11 +58,10 @@ func run() int {
 	schemes := flag.String("schemes", "killi-1:64,msecc", "comma-separated protection schemes: "+experiments.SchemeSyntax())
 	voltages := flag.String("voltages", "", "voltage grid: comma-separated points or lo:hi:step (default the paper's 0.575..0.700 in 25 mV steps)")
 	classes := flag.String("classes", "persistent", "semicolon-separated fault-class axis, each spec: "+faultmodel.ClassSyntax())
-	seed := flag.Uint64("seed", 1, "campaign seed; output is bit-reproducible for a fixed seed at any -parallel/-shards")
+	seed := flag.Uint64("seed", 1, "campaign seed; output is bit-reproducible for a fixed seed at any -parallel")
 	requests := flag.Int("requests", 2000, "trace requests per CU")
 	warmup := flag.Int("warmup", 0, "warm-up kernels before each measured run")
-	parallel := flag.Int("parallel", -1, "concurrently simulating dies (1 = serial, -1 = GOMAXPROCS/shards); output is identical at any value")
-	shards := flag.Int("shards", 1, "intra-simulation shard count; output is bit-identical at any value")
+	parallel := flag.Int("parallel", -1, "concurrently simulating dies (1 = serial, -1 = GOMAXPROCS); output is identical at any value")
 	threshold := flag.Float64("threshold", campaign.DefaultPassThreshold, "pass criterion: max execution time normalized to the die's fault-free baseline")
 	format := flag.String("format", campaign.FormatTable, "output format: table, csv, or jsonl")
 	out := flag.String("o", "", "write output to this file (default stdout)")
@@ -72,7 +71,7 @@ func run() int {
 	resume := flag.Bool("resume", false, "replay the -checkpoint journal's valid prefix before dispatching the remaining dies")
 	flag.Parse()
 
-	if err := experiments.ValidateFlags(*requests, *parallel, *shards, runtime.GOMAXPROCS(0)); err != nil {
+	if err := experiments.ValidateFlags(*requests, *parallel, runtime.GOMAXPROCS(0)); err != nil {
 		fmt.Fprintf(os.Stderr, "killi-fleet: %v\n", err)
 		return 2
 	}
@@ -96,7 +95,6 @@ func run() int {
 		RequestsPerCU: *requests,
 		WarmupKernels: *warmup,
 		Parallelism:   *parallel,
-		Shards:        *shards,
 		PassThreshold: *threshold,
 		CacheDir:      *cache,
 		CheckpointDir: *checkpoint,

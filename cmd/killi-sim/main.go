@@ -72,8 +72,7 @@ func run() int {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	workloads := flag.String("workloads", "", "comma-separated workload subset (default: all ten)")
 	warmup := flag.Int("warmup", 2, "warm-up kernels before the measured run (DFH persists; 0 includes training cost)")
-	parallel := flag.Int("parallel", -1, "concurrent simulations (1 = serial, -1 = GOMAXPROCS/shards); output is identical at any value")
-	shards := flag.Int("shards", 1, "intra-run shard count for each simulation (bank-sharded engine); output is bit-identical at any value")
+	parallel := flag.Int("parallel", -1, "concurrent simulations (1 = serial, -1 = GOMAXPROCS); output is identical at any value")
 	cacheDir := flag.String("cache", "", "directory for the content-addressed result cache (empty = recompute everything); cached rows are bit-identical")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the sweep) to this file")
@@ -89,7 +88,7 @@ func run() int {
 	flag.Parse()
 
 	// Reject bad flag combinations before any work starts.
-	if err := experiments.ValidateFlags(*requests, *parallel, *shards, runtime.GOMAXPROCS(0)); err != nil {
+	if err := experiments.ValidateFlags(*requests, *parallel, runtime.GOMAXPROCS(0)); err != nil {
 		fmt.Fprintf(os.Stderr, "killi-sim: %v\n", err)
 		return 2
 	}
@@ -115,7 +114,7 @@ func run() int {
 
 	if *misclass {
 		err := misclassRun(ctx, *workloads, *obsScheme, *classes,
-			*voltage, *requests, *seed, *warmup, *scrubKernels, *shards)
+			*voltage, *requests, *seed, *warmup, *scrubKernels)
 		switch {
 		case errors.Is(err, context.Canceled):
 			fmt.Fprintln(os.Stderr, "killi-sim: interrupted")
@@ -129,7 +128,7 @@ func run() int {
 
 	if *timeseries != "" || *traceEvents != "" {
 		err := observedRun(ctx, *timeseries, *traceEvents, *obsWorkload, *obsScheme,
-			*voltage, *requests, *seed, *warmup, *epoch, *shards)
+			*voltage, *requests, *seed, *warmup, *epoch)
 		switch {
 		case errors.Is(err, context.Canceled):
 			fmt.Fprintln(os.Stderr, "killi-sim: interrupted")
@@ -188,7 +187,6 @@ func run() int {
 	// own Parallelism fans out inside it.
 	svc, err := simserver.New(simserver.Config{
 		CacheDir: *cacheDir,
-		Shards:   *shards,
 		Workers:  1,
 		Metrics:  metrics,
 	})
@@ -202,7 +200,6 @@ func run() int {
 		RequestsPerCU: *requests,
 		Seed:          *seed,
 		WarmupKernels: *warmup,
-		Shards:        *shards,
 		Parallelism:   *parallel,
 		Workloads:     experiments.SplitList(*workloads),
 		FaultClasses:  []string{*classes},
@@ -245,7 +242,7 @@ func run() int {
 // ground-truth comparison table. Runs are never cached: the measurement
 // needs live counters.
 func misclassRun(ctx context.Context, workloadsCSV, schemeName, classes string,
-	voltage float64, requests int, seed uint64, warmup, scrub, shards int) error {
+	voltage float64, requests int, seed uint64, warmup, scrub int) error {
 	names := experiments.SplitList(workloadsCSV)
 	if len(names) == 0 {
 		names = []string{"xsbench"}
@@ -254,7 +251,6 @@ func misclassRun(ctx context.Context, workloadsCSV, schemeName, classes string,
 		RequestsPerCU: requests,
 		Seed:          seed,
 		WarmupKernels: warmup,
-		Shards:        shards,
 		FaultClasses:  classes,
 		ScrubKernels:  scrub,
 	}
@@ -274,7 +270,7 @@ func misclassRun(ctx context.Context, workloadsCSV, schemeName, classes string,
 // including its own wall-clock, so the observation overhead claim is
 // measured rather than asserted — and the DFH training curve.
 func observedRun(ctx context.Context, tsPath, tePath, workloadName, schemeName string,
-	voltage float64, requests int, seed uint64, warmup int, epoch uint64, shards int) error {
+	voltage float64, requests int, seed uint64, warmup int, epoch uint64) error {
 	newScheme, err := experiments.SchemeFactoryByName(schemeName)
 	if err != nil {
 		return err
@@ -285,7 +281,6 @@ func observedRun(ctx context.Context, tsPath, tePath, workloadName, schemeName s
 		RequestsPerCU: requests,
 		Seed:          seed,
 		WarmupKernels: warmup,
-		Shards:        shards,
 	}
 	start := time.Now()
 	res, err := experiments.RunOneObserved(ctx, cfg, workloadName, newScheme, voltage, col, epoch)
@@ -317,8 +312,8 @@ func observedRun(ctx context.Context, tsPath, tePath, workloadName, schemeName s
 		}
 		fmt.Printf("wrote trace_event JSON to %s (open at https://ui.perfetto.dev)\n", tePath)
 	}
-	fmt.Printf("\n%s × %s @ %.3fxVDD, %d requests/CU, %d warmup kernels, epoch %d cycles, %d shards\n",
-		workloadName, schemeName, voltage, requests, warmup, epoch, shards)
+	fmt.Printf("\n%s × %s @ %.3fxVDD, %d requests/CU, %d warmup kernels, epoch %d cycles\n",
+		workloadName, schemeName, voltage, requests, warmup, epoch)
 	fmt.Printf("cycles %d, instructions %d, L2 MPKI %.2f, disabled lines %d\n",
 		res.Cycles, res.Instructions, res.MPKI(), res.DisabledLines)
 	fmt.Printf("observed run wall-clock: %.3fs\n", wall.Seconds())

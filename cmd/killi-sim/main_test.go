@@ -80,7 +80,8 @@ func TestInterruptedSweepStrandsNothing(t *testing.T) {
 }
 
 // TestFlagValidation pins the fail-fast contract: nonsense flag
-// combinations exit 2 with a one-line error before any simulation starts.
+// combinations and unknown flags exit 2 before any simulation starts, with
+// a one-line error for every flag the binary defines.
 func TestFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a real binary; skipped in -short")
@@ -93,7 +94,7 @@ func TestFlagValidation(t *testing.T) {
 		{"zero requests", []string{"-requests", "0"}},
 		{"negative shards", []string{"-shards", "-3"}},
 		{"zero parallel", []string{"-parallel", "0"}},
-		{"oversubscribed", []string{"-parallel", "64", "-shards", "64"}},
+		{"oversubscribed", []string{"-parallel", "1048576"}},
 		{"unknown figure", []string{"-fig", "6"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,7 +106,14 @@ func TestFlagValidation(t *testing.T) {
 			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 				t.Fatalf("%v: err %v, want exit code 2; stderr:\n%s", tc.args, err, stderr.String())
 			}
-			if msg := stderr.String(); strings.Count(msg, "\n") != 1 {
+			msg := stderr.String()
+			if tc.args[0] == "-shards" {
+				// The engine is serial: -shards is not a flag, and the flag
+				// package rejects it with its usage text.
+				if !strings.Contains(msg, "flag provided but not defined: -shards") {
+					t.Errorf("want an unknown-flag error, got:\n%s", msg)
+				}
+			} else if strings.Count(msg, "\n") != 1 {
 				t.Errorf("want a one-line error, got:\n%s", msg)
 			}
 		})

@@ -21,10 +21,9 @@
 //	GET  /debug/vars  the standard expvar page.
 //
 // Concurrency is budgeted against the machine: -workers jobs execute at
-// once, each simulating with -shards engine shards, and the default worker
-// count is GOMAXPROCS/shards so the product never oversubscribes. SIGINT or
-// SIGTERM begins a graceful shutdown: the listener stops accepting, queued
-// and running jobs drain (bounded by -drain), the cache is swept of
+// once, and the default worker count is GOMAXPROCS. SIGINT or SIGTERM
+// begins a graceful shutdown: the listener stops accepting, queued and
+// running jobs drain (bounded by -drain), the cache is swept of
 // temporaries, and the metrics listener closes. A drain that exceeds its
 // budget cancels in-flight simulations at their next kernel boundary and
 // exits nonzero.
@@ -55,8 +54,7 @@ func main() {
 func run() int {
 	addr := flag.String("addr", "localhost:8070", "address to serve the job API on")
 	cacheDir := flag.String("cache", "", "directory for the content-addressed result cache shared by all jobs (empty = every job simulates)")
-	shards := flag.Int("shards", 1, "engine shards per simulation; results are bit-identical at any value")
-	workers := flag.Int("workers", 0, "concurrently executing jobs (0 = GOMAXPROCS/shards)")
+	workers := flag.Int("workers", 0, "concurrently executing jobs (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "jobs allowed to wait beyond the running ones before 429 (0 = 4x workers)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the metrics document on a second address too (e.g. localhost:8060); the job API always has /metrics")
 	drain := flag.Duration("drain", time.Minute, "how long shutdown waits for queued and running jobs before cancelling them")
@@ -70,7 +68,7 @@ func run() int {
 	if vworkers == 0 {
 		vworkers = -1
 	}
-	if err := experiments.ValidateFlags(1, vworkers, *shards, runtime.GOMAXPROCS(0)); err != nil {
+	if err := experiments.ValidateFlags(1, vworkers, runtime.GOMAXPROCS(0)); err != nil {
 		fmt.Fprintf(os.Stderr, "killi-simd: %v\n", err)
 		return 2
 	}
@@ -95,7 +93,6 @@ func run() int {
 
 	svc, err := simserver.New(simserver.Config{
 		CacheDir:   *cacheDir,
-		Shards:     *shards,
 		Workers:    *workers,
 		QueueDepth: *queue,
 		Metrics:    m,
@@ -113,8 +110,8 @@ func run() int {
 		return 1
 	}
 	st := svc.Stats()
-	fmt.Fprintf(os.Stderr, "killi-simd: serving jobs at http://%s/v1/jobs (%d workers x %d shards, queue %d, cache %q)\n",
-		ln.Addr(), st.Workers, *shards, st.Queue, *cacheDir)
+	fmt.Fprintf(os.Stderr, "killi-simd: serving jobs at http://%s/v1/jobs (%d workers, queue %d, cache %q)\n",
+		ln.Addr(), st.Workers, st.Queue, *cacheDir)
 
 	httpSrv := &http.Server{Handler: svc.Handler()}
 	serveErr := make(chan error, 1)

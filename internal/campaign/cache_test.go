@@ -14,26 +14,49 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"killi/internal/faultmodel"
 	"killi/internal/gpu"
 	"killi/internal/protection"
 	"killi/internal/simcache"
 	"killi/internal/workload"
 )
 
-// countingSim wraps the stub simulator with an invocation counter and an
-// optional failure injector: calls after the first `failAfter` return a
-// sentinel error (failAfter <= 0 disables injection).
-func countingSim(calls *atomic.Int64, failAfter int64) simFunc {
+// countingSim wraps the stub simulator with an invocation counter.
+func countingSim(calls *atomic.Int64) simFunc {
 	inner := stubSim()
-	return func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet, shards int) (gpu.Result, error) {
-		n := calls.Add(1)
-		if failAfter > 0 && n > failAfter {
+	return func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet) (gpu.Result, error) {
+		calls.Add(1)
+		return inner(ctx, g, f, sf, ts)
+	}
+}
+
+// failFromDie wraps the stub simulator with a failure injector: every
+// simulation of a die whose index is cut or higher returns errInjected.
+// Keying the failure on the die, not on a global call count, fixes the
+// journal at any parallelism: a failing call first waits until every die
+// below the cut has started, a started die always completes, and so an
+// interrupted run's checkpoint holds exactly dies 0..cut-1. The wait
+// assumes every die below the cut simulates, which holds for a cold run.
+func failFromDie(seed uint64, cut int) simFunc {
+	inner := stubSim()
+	below := make(map[uint64]*sync.Once, cut)
+	for d := 0; d < cut; d++ {
+		below[faultmodel.DieSeed(seed, d)] = new(sync.Once)
+	}
+	var started sync.WaitGroup
+	started.Add(cut)
+	return func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet) (gpu.Result, error) {
+		once, ok := below[g.FaultSeed]
+		if !ok {
+			started.Wait()
 			return gpu.Result{}, errInjected
 		}
-		return inner(ctx, g, f, sf, ts, shards)
+		once.Do(started.Done)
+		return inner(ctx, g, f, sf, ts)
 	}
 }
 
@@ -63,7 +86,7 @@ func TestWarmCampaignBitIdentical(t *testing.T) {
 	var coldCalls atomic.Int64
 	cold := stubConfig(dies, 1)
 	cold.CacheDir = dir
-	cold.runSim = countingSim(&coldCalls, 0)
+	cold.runSim = countingSim(&coldCalls)
 	coldRes, err := Run(context.Background(), cold)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
@@ -81,7 +104,7 @@ func TestWarmCampaignBitIdentical(t *testing.T) {
 		var faultBuilds atomic.Int64
 		warm := stubConfig(dies, parallel)
 		warm.CacheDir = dir
-		warm.runSim = countingSim(&warmCalls, 0)
+		warm.runSim = countingSim(&warmCalls)
 		inner := stubFaults(0)
 		warm.dieFaults = func(g gpu.Config, v []float64) ([]*gpu.SharedFaults, *gpu.SharedFaults) {
 			faultBuilds.Add(1)
@@ -138,7 +161,7 @@ func TestPrefixSharedCampaign(t *testing.T) {
 		cfg := stubConfig(dies, parallel)
 		cfg.Voltages = extended
 		cfg.CacheDir = dir
-		cfg.runSim = countingSim(&calls, 0)
+		cfg.runSim = countingSim(&calls)
 		res, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("extended run (parallel=%d): %v", parallel, err)
@@ -210,7 +233,7 @@ func TestCorruptedDieEntryRecomputedMidCampaign(t *testing.T) {
 	var calls atomic.Int64
 	warm := stubConfig(dies, 4)
 	warm.CacheDir = dir
-	warm.runSim = countingSim(&calls, 0)
+	warm.runSim = countingSim(&calls)
 	res, err := Run(context.Background(), warm)
 	if err != nil {
 		t.Fatalf("warm run over corrupted entries: %v", err)
@@ -239,15 +262,14 @@ func TestCorruptedDieEntryRecomputedMidCampaign(t *testing.T) {
 	}
 }
 
-// interruptedCheckpoint runs the campaign with failure injection until it
-// dies mid-run, leaving a partial checkpoint behind. Returns how many dies
-// the checkpoint holds.
-func interruptedCheckpoint(t *testing.T, ckptDir string, dies, parallel int, failAfter int64) int {
+// interruptedCheckpoint runs the campaign with every die from cut on
+// failing, leaving a partial checkpoint behind, and checks that the
+// checkpoint holds exactly the cut dies before the failure.
+func interruptedCheckpoint(t *testing.T, ckptDir string, dies, parallel, cut int) {
 	t.Helper()
-	var calls atomic.Int64
 	cfg := stubConfig(dies, parallel)
 	cfg.CheckpointDir = ckptDir
-	cfg.runSim = countingSim(&calls, failAfter)
+	cfg.runSim = failFromDie(cfg.Seed, cut)
 	if _, err := Run(context.Background(), cfg); !errors.Is(err, errInjected) {
 		t.Fatalf("interrupted run returned %v, want injected failure", err)
 	}
@@ -260,11 +282,9 @@ func interruptedCheckpoint(t *testing.T, ckptDir string, dies, parallel int, fai
 	if err != nil {
 		t.Fatalf("checkpoint not written: %v", err)
 	}
-	lines := strings.Count(string(buf), "\n")
-	if lines < 2 {
-		t.Fatalf("checkpoint has %d lines, want a header plus at least one record", lines)
+	if lines := strings.Count(string(buf), "\n"); lines != 1+cut {
+		t.Fatalf("checkpoint has %d lines, want a header plus %d records", lines, cut)
 	}
-	return lines - 1
 }
 
 // TestResumeBitIdentical pins checkpoint/resume: a campaign killed mid-run
@@ -286,15 +306,13 @@ func TestResumeBitIdentical(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("p%d_resume_p%d", tc.interruptedP, tc.resumedP), func(t *testing.T) {
 			dir := t.TempDir()
-			done := interruptedCheckpoint(t, dir, dies, tc.interruptedP, cells*(dies/3))
-			if done == 0 || done >= dies {
-				t.Fatalf("checkpoint holds %d dies, want a strict mid-run prefix", done)
-			}
+			const done = dies / 3
+			interruptedCheckpoint(t, dir, dies, tc.interruptedP, done)
 			var calls atomic.Int64
 			cfg := stubConfig(dies, tc.resumedP)
 			cfg.CheckpointDir = dir
 			cfg.Resume = true
-			cfg.runSim = countingSim(&calls, 0)
+			cfg.runSim = countingSim(&calls)
 			res, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("resumed run: %v", err)
@@ -314,7 +332,7 @@ func TestResumeBitIdentical(t *testing.T) {
 			cfg2 := stubConfig(dies, tc.resumedP)
 			cfg2.CheckpointDir = dir
 			cfg2.Resume = true
-			cfg2.runSim = countingSim(&again, 0)
+			cfg2.runSim = countingSim(&again)
 			res2, err := Run(context.Background(), cfg2)
 			if err != nil {
 				t.Fatalf("second resume: %v", err)
@@ -341,7 +359,8 @@ func TestTornCheckpointTailTruncated(t *testing.T) {
 	want := allOutputs(t, ref)
 
 	dir := t.TempDir()
-	done := interruptedCheckpoint(t, dir, dies, 4, int64((1+2*8)*(dies/2)))
+	const done = dies / 2
+	interruptedCheckpoint(t, dir, dies, 4, done)
 
 	cfg := stubConfig(dies, 1)
 	norm, err := cfg.Normalized()
@@ -393,7 +412,7 @@ func TestCheckpointAxesMismatchStartsFresh(t *testing.T) {
 	b.Seed = 99
 	b.CheckpointDir = dir
 	b.Resume = true
-	b.runSim = countingSim(&calls, 0)
+	b.runSim = countingSim(&calls)
 	res, err := Run(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
@@ -422,11 +441,10 @@ func TestCacheAndCheckpointCompose(t *testing.T) {
 	want := allOutputs(t, ref)
 
 	cacheDir, ckptDir := t.TempDir(), t.TempDir()
-	var calls atomic.Int64
 	cfg := stubConfig(dies, 4)
 	cfg.CacheDir = cacheDir
 	cfg.CheckpointDir = ckptDir
-	cfg.runSim = countingSim(&calls, int64((1+2*8)*(dies/3)))
+	cfg.runSim = failFromDie(cfg.Seed, dies/3)
 	if _, err := Run(context.Background(), cfg); !errors.Is(err, errInjected) {
 		t.Fatalf("interrupted run returned %v", err)
 	}

@@ -2,8 +2,8 @@
 // simulated dies — each a distinct fault population sampled from a per-die
 // seed stream — crossed with a voltage grid, a protection scheme list, and
 // a fault-class axis (persistent or mixed non-persistent populations, see
-// faultmodel.ClassSyntax), executed through the sharded simulation engine
-// and aggregated streamingly.
+// faultmodel.ClassSyntax), simulated die by die on a worker pool and
+// aggregated streamingly.
 //
 // The paper evaluates each scheme against a single sampled fault map per
 // voltage; a fleet deployment decision needs the distribution across device
@@ -22,7 +22,7 @@
 // Aggregation is streaming and bounded: online Welford moments and P²
 // quantile sketches per cell, fed in canonical die order through a bounded
 // reorder window, so memory stays O(window + cells) at any N and a campaign
-// with a fixed seed is bit-reproducible at any parallelism or shard count.
+// with a fixed seed is bit-reproducible at any parallelism.
 package campaign
 
 import (
@@ -60,7 +60,7 @@ const DefaultPassThreshold = 1.10
 // simFunc executes one prepared simulation; tests substitute a stub so the
 // aggregation pipeline can be driven with 10k+ synthetic dies in
 // milliseconds. The default is experiments.RunShared.
-type simFunc func(ctx context.Context, g gpu.Config, newScheme protection.Factory, faults *gpu.SharedFaults, traces *workload.TraceSet, shards int) (gpu.Result, error)
+type simFunc func(ctx context.Context, g gpu.Config, newScheme protection.Factory, faults *gpu.SharedFaults, traces *workload.TraceSet) (gpu.Result, error)
 
 // Config parameterizes a campaign.
 type Config struct {
@@ -94,13 +94,9 @@ type Config struct {
 	// WarmupKernels precede each measured kernel, as in experiments.Config.
 	WarmupKernels int
 	// Parallelism bounds concurrently simulating dies. 0 or 1 is serial;
-	// negative auto-budgets GOMAXPROCS/Shards. Results are bit-identical at
-	// every value: dies are aggregated in die order regardless of
-	// completion order.
+	// negative means GOMAXPROCS. Results are bit-identical at every value:
+	// dies are aggregated in die order regardless of completion order.
 	Parallelism int
-	// Shards is the intra-simulation shard count (bit-identical at any
-	// value; 0 = 1).
-	Shards int
 	// GPU overrides the base GPU configuration (nil = Table 3). Voltage,
 	// FaultSeed, and RefVoltage are owned by the campaign and overwritten.
 	GPU *gpu.Config
@@ -243,11 +239,8 @@ func (c Config) Normalized() (Config, error) {
 	if c.PassThreshold <= 1 {
 		return c, fmt.Errorf("campaign: pass threshold must exceed 1 (it bounds time normalized to the fault-free baseline), got %.3f", c.PassThreshold)
 	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
 	if c.Parallelism < 0 {
-		c.Parallelism = max(1, runtime.GOMAXPROCS(0)/c.Shards)
+		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.Parallelism == 0 {
 		c.Parallelism = 1
@@ -272,7 +265,7 @@ func (c Config) baseGPU() gpu.Config {
 // single die's raw record — the normalized axes plus the base GPU config
 // with the campaign-owned fields (Voltage, FaultSeed, RefVoltage, Classes)
 // zeroed, since runDie overwrites them from the axes. Dies, PassThreshold,
-// Parallelism, Shards, and Window are deliberately absent: they change how
+// Parallelism, and Window are deliberately absent: they change how
 // much is computed, or how it is scheduled and aggregated, never a die's
 // outcome — which is exactly what lets a 10k-die campaign reuse the records
 // of an earlier 1k-die one, and a resumed run reuse a checkpoint regardless
@@ -462,7 +455,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				}
 			}
 			ensureFaults()
-			res, err := sim(ctx, g, f, pick(), traces[wi], cfg.Shards)
+			res, err := sim(ctx, g, f, pick(), traces[wi])
 			if err == nil && store != nil {
 				_ = store.Put(key, experiments.CacheableResult(res)) // best-effort, like the sweep
 			}

@@ -36,7 +36,7 @@ func stubFaults(ballast int) func(gpu.Config, []float64) ([]*gpu.SharedFaults, *
 // and Vmin all take non-trivial values. The baseline run (voltage 1.0) lands
 // near 100000 cycles.
 func stubSim() simFunc {
-	return func(_ context.Context, g gpu.Config, _ protection.Factory, _ *gpu.SharedFaults, _ *workload.TraceSet, _ int) (gpu.Result, error) {
+	return func(_ context.Context, g gpu.Config, _ protection.Factory, _ *gpu.SharedFaults, _ *workload.TraceSet) (gpu.Result, error) {
 		h := g.FaultSeed ^ math.Float64bits(g.Voltage)
 		h ^= h >> 29
 		h *= 0x9e3779b97f4a7c15
@@ -169,7 +169,7 @@ func TestVminClassification(t *testing.T) {
 		Seed:          9,
 		RequestsPerCU: 16,
 		dieFaults:     stubFaults(0),
-		runSim: func(_ context.Context, g gpu.Config, _ protection.Factory, _ *gpu.SharedFaults, _ *workload.TraceSet, _ int) (gpu.Result, error) {
+		runSim: func(_ context.Context, g gpu.Config, _ protection.Factory, _ *gpu.SharedFaults, _ *workload.TraceSet) (gpu.Result, error) {
 			if g.Voltage == 1.0 {
 				return gpu.Result{Cycles: 1000, Instructions: 1000}, nil
 			}
@@ -378,11 +378,11 @@ func TestRunErrors(t *testing.T) {
 	boom := errors.New("boom")
 	cfg := stubConfig(32, 4)
 	inner := cfg.runSim
-	cfg.runSim = func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet, sh int) (gpu.Result, error) {
+	cfg.runSim = func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet) (gpu.Result, error) {
 		if g.FaultSeed == faultmodel.DieSeed(cfg.Seed, 17) {
 			return gpu.Result{}, boom
 		}
-		return inner(ctx, g, f, sf, ts, sh)
+		return inner(ctx, g, f, sf, ts)
 	}
 	if _, err := Run(context.Background(), cfg); !errors.Is(err, boom) {
 		t.Errorf("parallel run error = %v, want %v", err, boom)
@@ -393,11 +393,11 @@ func TestRunErrors(t *testing.T) {
 	var n atomic.Int64
 	cfg = stubConfig(512, 4)
 	inner = cfg.runSim
-	cfg.runSim = func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet, sh int) (gpu.Result, error) {
+	cfg.runSim = func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet) (gpu.Result, error) {
 		if n.Add(1) == 100 {
 			cancel()
 		}
-		return inner(ctx, g, f, sf, ts, sh)
+		return inner(ctx, g, f, sf, ts)
 	}
 	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run error = %v, want context.Canceled", err)

@@ -9,6 +9,11 @@ package campaign
 // construction dies 0..k-1 with no gaps — a killed run can at worst leave a
 // torn final line, which resume detects and truncates.
 //
+// The journal is a contiguous prefix by design. When a die fails, dies
+// after it that other workers had already finished are not journaled: they
+// wait behind the gap in the reorder window, are dropped with the failed
+// run, and are recomputed on resume.
+//
 // The file is named by the campaign's axes digest (the same canonical
 // description that keys per-die cache records), so resuming with changed
 // axes opens a different file instead of silently mixing incompatible

@@ -1,225 +1,292 @@
 // Package engine provides the discrete-event simulation kernel: a clock and
-// event queues with deterministic same-cycle ordering.
+// one event queue with a deterministic total order.
 //
 // The GPU memory-hierarchy model is expressed as events (request issue,
-// bank response, DRAM completion) scheduled at future cycles. Determinism
-// matters: two events at the same cycle fire in a canonical order, so a
-// simulation configuration plus a seed fully determines every statistic.
+// bank response, DRAM completion) scheduled at future cycles. Simulator
+// state is partitioned into domains, each with a bound EventSink; an event
+// is owned by exactly one domain and only that domain's sink observes it.
+// Events fire in a canonical total order — (cycle, key), where the key
+// packs the event's class, origin domain, and a per-domain scheduling
+// sequence — so a simulation configuration plus a seed fully determines
+// every statistic. At equal cycle a domain fires its local events (After)
+// in scheduling order before delivered messages (Send), which order among
+// themselves by (source domain, source sequence).
 //
-// The production kernel is Sharded (sharded.go): simulator state is
-// partitioned into domains, each with a bound EventSink, and domains are
-// grouped onto K shards that advance in lock-step barrier rounds. Each
-// round fires every event below a per-shard bound derived from the
-// transitive closure of declared per-edge minimum Send delays (DeclareEdge),
-// so one round coalesces many cycles of work; without declarations the
-// engine falls back to a conservative one-cycle lookahead. K=1 is a plain
-// serial pop loop with zero steady-state allocations; results are
-// bit-identical at every K.
-//
-// Engine (this file) is the original single-queue kernel, kept as the
-// compact reference implementation: a typed four-ary min-heap ordered by
-// (cycle, scheduling sequence) with the same zero-allocation discipline
-// (reusable Handler objects via ScheduleHandler). Sharded reuses its heap
-// layout per shard; the oracle tests in determinism_test.go pin its
-// ordering against a naive reference queue.
+// The queue is a typed four-ary min-heap of fixed-size values, so the
+// steady-state pop loop allocates nothing. Boundary hooks (SetTicker) run
+// between events at multiples of their period, for samplers and injectors
+// that must see every domain at rest.
 package engine
 
-// Handler is a scheduled callback object. Implementations that are reused
-// (e.g. drawn from a free list) make scheduling allocation-free.
-type Handler interface {
-	Fire()
+import "fmt"
+
+// EventSink receives a domain's events. Exactly one sink is bound per
+// domain; a sink should touch only its own domain's state and reach other
+// domains through Send.
+type EventSink interface {
+	OnEvent(kind uint8, a, b uint64)
 }
 
-// funcHandler adapts a plain func to Handler. Func values without captured
-// variables convert for free; capturing closures still allocate once, as
-// they did under the previous container/heap queue.
-type funcHandler func()
+const (
+	seqBits    = 48
+	domainBits = 15
+	// msgClass marks cross-domain messages in the canonical key. At equal
+	// cycle a domain fires its local events before delivered messages;
+	// messages order among themselves by (source domain, source sequence).
+	msgClass = uint64(1) << 63
+	noEvent  = ^uint64(0)
+)
 
-func (f funcHandler) Fire() { f() }
+// RunStats is the deterministic scheduling ledger of one Run: a pure
+// function of the simulation, independent of host speed, so it can be
+// asserted in tests and gated in benchmarks.
+type RunStats struct {
+	// Events counts fired events.
+	Events uint64
+	// Timestamps counts distinct event cycles fired.
+	Timestamps uint64
+}
 
-// event is a queue entry: a handler and its (when, seq) total order. The
-// low bit of seq flags daemon events (see ScheduleDaemonHandler); the
-// remaining bits carry the monotone scheduling sequence, so the packed
-// value preserves FIFO order without widening the struct.
+// event is one queued event: payload (kind, a, b) for the sink of domain
+// dst, firing at cycle `when`, totally ordered by (when, key).
 type event struct {
 	when uint64
-	seq  uint64
-	h    Handler
+	key  uint64
+	a, b uint64
+	dst  int32
+	kind uint8
 }
 
-// daemonBit marks an event that does not keep Run alive.
-const daemonBit = 1
-
-// less orders events by cycle, breaking ties by scheduling sequence so that
-// same-cycle events fire in FIFO order.
-func (a event) less(b event) bool {
-	if a.when != b.when {
-		return a.when < b.when
+func (e event) less(o event) bool {
+	if e.when != o.when {
+		return e.when < o.when
 	}
-	return a.seq < b.seq
+	return e.key < o.key
 }
 
-// seedCap is the queue capacity served by the Engine's inline backing
-// array. Queues that stay within it (the simulator's in-flight event count
-// rarely passes a few hundred) never allocate for event storage.
-const seedCap = 128
-
-// Engine is a discrete-event simulator clock. The zero value is ready to
-// use at cycle 0. An Engine must not be copied after its first Schedule:
-// the queue starts on the inline seed array.
-type Engine struct {
-	now    uint64
-	seq    uint64
-	events []event // four-ary heap: children of i at 4i+1..4i+4
-	// live counts queued non-daemon events; Run and RunUntil stop when it
-	// reaches zero even if daemon events (observability tickers) remain.
-	live int
-	// seed is the initial backing array for events, so a fresh Engine
-	// schedules without the append growth ladder (and, when the Engine
-	// itself is stack-allocated, without any heap allocation at all).
-	seed [seedCap]event
-}
-
-// Now returns the current cycle.
-func (e *Engine) Now() uint64 { return e.now }
-
-// Schedule runs fn delay cycles from now. A delay of 0 runs fn later in the
-// current cycle, after already-queued same-cycle events.
-func (e *Engine) Schedule(delay uint64, fn func()) {
-	e.ScheduleHandler(delay, funcHandler(fn))
-}
-
-// ScheduleHandler runs h.Fire() delay cycles from now, with the same
-// same-cycle FIFO ordering as Schedule. Reusing handler objects keeps the
-// call allocation-free.
-func (e *Engine) ScheduleHandler(delay uint64, h Handler) {
-	e.push(delay, h, 0)
-}
-
-// ScheduleDaemonHandler queues h like ScheduleHandler but as a daemon
-// event: it fires in its normal (when, seq) position while other events
-// are being drained, yet does not by itself keep Run or RunUntil alive.
-// This is what periodic instrumentation (the gpu package's epoch sampler)
-// uses to tick for as long as the simulation runs without turning Run into
-// an infinite loop. Daemon events left in the queue when Run returns stay
-// queued and resume firing on the next Run call.
-func (e *Engine) ScheduleDaemonHandler(delay uint64, h Handler) {
-	e.push(delay, h, daemonBit)
-}
-
-func (e *Engine) push(delay uint64, h Handler, flag uint64) {
-	if e.events == nil {
-		e.events = e.seed[:0]
-	}
-	e.seq++
-	if flag == 0 {
-		e.live++
-	}
-	e.events = append(e.events, event{when: e.now + delay, seq: e.seq<<1 | flag, h: h})
-	e.siftUp(len(e.events) - 1)
-}
-
-func (e *Engine) siftUp(i int) {
-	ev := e.events[i]
+func siftUp(h []event, i int) {
+	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !ev.less(e.events[parent]) {
+		if !ev.less(h[parent]) {
 			break
 		}
-		e.events[i] = e.events[parent]
+		h[i] = h[parent]
 		i = parent
 	}
-	e.events[i] = ev
+	h[i] = ev
 }
 
-// siftDown restores heap order after the element at i was replaced
-// (typically by the former last element during a pop). It uses the
-// bottom-up variant: walk the hole down the min-child path to a leaf
-// comparing only siblings, then sift the displaced element back up. The
-// displaced element is usually among the most recently scheduled, so it
-// belongs near a leaf and the up-pass ends after one comparison — saving
-// the per-level compare against it that the classic loop pays.
-func (e *Engine) siftDown(i int) {
-	n := len(e.events)
-	ev := e.events[i]
-	start := i
+// Domain is one partition of simulator state: an event queue identity
+// whose events fire in canonical order. Obtain domains from
+// Engine.Domain; the zero value is not usable.
+type Domain struct {
+	eng  *Engine
+	id   int32
+	seq  uint64
+	sink EventSink
+}
+
+// Bind attaches the sink that receives this domain's events.
+func (d *Domain) Bind(sink EventSink) { d.sink = sink }
+
+// ID returns the domain's index.
+func (d *Domain) ID() int { return int(d.id) }
+
+// Now returns the engine clock.
+func (d *Domain) Now() uint64 { return d.eng.now }
+
+// After schedules a local event on this domain, delay cycles from the
+// current cycle. A delay of 0 fires later in the same cycle, after the
+// domain's already-queued same-cycle local events. Call it during setup
+// (between Runs) or from this domain's own sink.
+func (d *Domain) After(delay uint64, kind uint8, a, b uint64) {
+	d.seq++
+	d.eng.push(event{
+		when: d.eng.now + delay,
+		key:  uint64(d.id)<<seqBits | d.seq,
+		a:    a, b: b,
+		dst:  d.id,
+		kind: kind,
+	})
+}
+
+// Send schedules an event on another domain, delay cycles from the current
+// cycle. The delay must be at least 1: every cross-domain interaction in
+// the model takes time. Delivery order at equal cycle is canonical — after
+// the destination's local events, ordered by (sending domain, sending
+// sequence).
+func (d *Domain) Send(dst *Domain, delay uint64, kind uint8, a, b uint64) {
+	if delay == 0 {
+		panic("engine: Send requires delay >= 1")
+	}
+	d.seq++
+	d.eng.push(event{
+		when: d.eng.now + delay,
+		key:  msgClass | uint64(d.id)<<seqBits | d.seq,
+		a:    a, b: b,
+		dst:  dst.id,
+		kind: kind,
+	})
+}
+
+// Engine is a discrete-event engine over a fixed set of domains. Construct
+// with New. Run is a plain pop loop with zero steady-state allocations.
+type Engine struct {
+	domains []Domain
+	heap    []event // four-ary heap: children of i at 4i+1..4i+4
+	now     uint64
+	stats   RunStats
+
+	// tickers are optional hooks fired once per boundary (multiples of
+	// each slot's period) between events: no event is in flight when one
+	// runs, so it may read — and, alone among extension points, mutate —
+	// any domain's state. A ticker fires for each boundary B <= the next
+	// event cycle, before the events at that cycle; a boundary with no
+	// remaining events after it never fires, so tickers never keep Run
+	// alive. A boundary shared by several slots fires them in ascending
+	// slot order. Slot 0 is the pacer (SetPacer, the observability
+	// sampler); gpu's fault-class strike ticker rides in slot 1.
+	tickers []ticker
+}
+
+// ticker is one registered boundary hook (see SetTicker).
+type ticker struct {
+	fn    func(boundary uint64)
+	every uint64
+	next  uint64
+}
+
+// New returns an engine over numDomains domains at cycle 0.
+func New(numDomains int) *Engine {
+	if numDomains < 1 || numDomains >= 1<<domainBits {
+		panic(fmt.Sprintf("engine: %d domains out of range", numDomains))
+	}
+	e := &Engine{domains: make([]Domain, numDomains)}
+	for i := range e.domains {
+		e.domains[i] = Domain{eng: e, id: int32(i)}
+	}
+	return e
+}
+
+// Domain returns domain i.
+func (e *Engine) Domain(i int) *Domain { return &e.domains[i] }
+
+// Now returns the engine clock: the cycle of the last fired event.
+func (e *Engine) Now() uint64 { return e.now }
+
+// Stats returns the scheduling ledger of the most recent Run.
+func (e *Engine) Stats() RunStats { return e.stats }
+
+func (e *Engine) push(ev event) {
+	e.heap = append(e.heap, ev)
+	siftUp(e.heap, len(e.heap)-1)
+}
+
+// pop removes and returns the minimum event. It uses the bottom-up hole
+// sift: walk the hole from the root down the min-child path to a leaf,
+// comparing only siblings, then sift the displaced last element back up.
+// That element was among the latest scheduled, so it usually belongs near
+// a leaf and the up-pass ends after one comparison.
+func (e *Engine) pop() event {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	moved := h[n]
+	h = h[:n]
+	e.heap = h
+	if n == 0 {
+		return top
+	}
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.events[c].less(e.events[best]) {
+		best, end := first, min(first+4, n)
+		for c := first + 1; c < end; c++ {
+			if h[c].less(h[best]) {
 				best = c
 			}
 		}
-		e.events[i] = e.events[best]
+		h[i] = h[best]
 		i = best
 	}
-	for i > start {
-		parent := (i - 1) / 4
-		if !ev.less(e.events[parent]) {
-			break
+	h[i] = moved
+	siftUp(h, i)
+	return top
+}
+
+// SetPacer installs (or, with fn == nil or every == 0, removes) the
+// boundary hook in ticker slot 0, armed at the first multiple of every
+// strictly after the current cycle. The pacer persists across Runs.
+func (e *Engine) SetPacer(every uint64, fn func(boundary uint64)) {
+	e.SetTicker(0, every, fn)
+}
+
+// SetTicker installs (or, with fn == nil or every == 0, removes) a
+// boundary hook in the given slot, armed at the first multiple of every
+// strictly after the current cycle. Slots are independent, so several
+// subsystems (the observability sampler, the fault-class strike injector)
+// can tick at different periods without clobbering each other; a boundary
+// due in several slots fires them in ascending slot order. Tickers persist
+// across Runs and must only be (un)installed between Runs.
+func (e *Engine) SetTicker(slot int, every uint64, fn func(boundary uint64)) {
+	if slot < 0 {
+		panic("engine: negative ticker slot")
+	}
+	for slot >= len(e.tickers) {
+		e.tickers = append(e.tickers, ticker{})
+	}
+	if fn == nil || every == 0 {
+		e.tickers[slot] = ticker{}
+	} else {
+		e.tickers[slot] = ticker{fn: fn, every: every, next: e.now - e.now%every + every}
+	}
+	// Trim dead tail slots so an armed-ticker check is len(tickers) > 0.
+	for n := len(e.tickers); n > 0 && e.tickers[n-1].fn == nil; n = len(e.tickers) {
+		e.tickers = e.tickers[:n-1]
+	}
+}
+
+// fireTickers fires every pending ticker boundary <= limit in (boundary,
+// slot) order, advancing each slot past its fired boundary.
+func (e *Engine) fireTickers(limit uint64) {
+	for {
+		b, slot := uint64(noEvent), -1
+		for i := range e.tickers {
+			if t := &e.tickers[i]; t.fn != nil && t.next < b {
+				b, slot = t.next, i
+			}
 		}
-		e.events[i] = e.events[parent]
-		i = parent
+		if slot < 0 || b > limit {
+			return
+		}
+		t := &e.tickers[slot]
+		t.next += t.every
+		t.fn(b)
 	}
-	e.events[i] = ev
 }
 
-// Pending returns the number of queued events, daemon events included.
-func (e *Engine) Pending() int { return len(e.events) }
-
-// PendingLive returns the number of queued non-daemon events — the count
-// that keeps Run going.
-func (e *Engine) PendingLive() int { return e.live }
-
-// Step fires the next event (daemon or not), advancing the clock to its
-// cycle. It returns false when the queue is empty.
-func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
-		return false
-	}
-	ev := e.events[0]
-	n := len(e.events) - 1
-	e.events[0] = e.events[n]
-	e.events[n] = event{} // release the Handler reference
-	e.events = e.events[:n]
-	if n > 0 {
-		e.siftDown(0)
-	}
-	if ev.seq&daemonBit == 0 {
-		e.live--
-	}
-	e.now = ev.when
-	ev.h.Fire()
-	return true
-}
-
-// Run fires events until every non-daemon event has drained, returning the
-// final cycle. Daemon events interleave in (when, seq) order while the
-// queue is live; any still queued when the last non-daemon event retires
-// are left for a future Run.
+// Run fires events until the queue drains and returns the final cycle.
 func (e *Engine) Run() uint64 {
-	for e.live > 0 {
-		e.Step()
-	}
-	return e.now
-}
-
-// RunUntil fires events up to and including cycle limit, returning true if
-// the non-daemon queue drained (false means the limit cut the run short).
-func (e *Engine) RunUntil(limit uint64) bool {
-	for e.live > 0 {
-		if e.events[0].when > limit {
-			return false
+	var events, stamps uint64
+	last := noEvent
+	hasTickers := len(e.tickers) > 0
+	for len(e.heap) > 0 {
+		if hasTickers {
+			e.fireTickers(e.heap[0].when)
 		}
-		e.Step()
+		ev := e.pop()
+		if ev.when != last {
+			stamps++
+			last = ev.when
+		}
+		events++
+		e.now = ev.when
+		e.domains[ev.dst].sink.OnEvent(ev.kind, ev.a, ev.b)
 	}
-	return true
+	e.stats = RunStats{Events: events, Timestamps: stamps}
+	return e.now
 }

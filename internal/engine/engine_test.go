@@ -2,56 +2,70 @@ package engine
 
 import "testing"
 
-func TestZeroValueUsable(t *testing.T) {
-	var e Engine
-	if e.Now() != 0 || e.Pending() != 0 {
-		t.Fatal("zero engine not at cycle 0")
+type sinkFunc func(kind uint8, a, b uint64)
+
+func (f sinkFunc) OnEvent(kind uint8, a, b uint64) { f(kind, a, b) }
+
+// single returns a one-domain engine whose sink records each event's a
+// payload in order.
+func single() (*Engine, *Domain, *[]uint64) {
+	e := New(1)
+	d := e.Domain(0)
+	var fired []uint64
+	d.Bind(sinkFunc(func(kind uint8, a, b uint64) { fired = append(fired, a) }))
+	return e, d, &fired
+}
+
+func TestNewEngineStartsEmpty(t *testing.T) {
+	e := New(3)
+	if e.Now() != 0 {
+		t.Fatalf("fresh engine at cycle %d", e.Now())
 	}
-	if e.Step() {
-		t.Fatal("Step on empty queue returned true")
+	if got := e.Run(); got != 0 || e.Stats() != (RunStats{}) {
+		t.Fatalf("Run on an empty queue returned %d with stats %+v", got, e.Stats())
 	}
 }
 
 func TestEventOrderingByTime(t *testing.T) {
-	var e Engine
-	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
-	final := e.Run()
-	if final != 30 {
+	e, d, fired := single()
+	d.After(30, 0, 3, 0)
+	d.After(10, 0, 1, 0)
+	d.After(20, 0, 2, 0)
+	if final := e.Run(); final != 30 {
 		t.Fatalf("final cycle %d", final)
 	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order %v", order)
+	if got := *fired; len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("order %v", got)
 	}
 }
 
 func TestSameCycleFIFO(t *testing.T) {
-	var e Engine
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(5, func() { order = append(order, i) })
+	e, d, fired := single()
+	for i := uint64(0); i < 10; i++ {
+		d.After(5, 0, i, 0)
 	}
 	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-cycle events fired out of scheduling order: %v", order)
+	for i, v := range *fired {
+		if v != uint64(i) {
+			t.Fatalf("same-cycle events fired out of scheduling order: %v", *fired)
 		}
 	}
 }
 
 func TestNestedScheduling(t *testing.T) {
-	var e Engine
+	e := New(1)
+	d := e.Domain(0)
 	var hits []uint64
-	e.Schedule(1, func() {
-		hits = append(hits, e.Now())
-		e.Schedule(4, func() {
-			hits = append(hits, e.Now())
-			e.Schedule(0, func() { hits = append(hits, e.Now()) })
-		})
-	})
+	d.Bind(sinkFunc(func(kind uint8, a, b uint64) {
+		hits = append(hits, d.Now())
+		switch a {
+		case 1:
+			d.After(4, 0, 2, 0)
+		case 2:
+			d.After(0, 0, 3, 0)
+		}
+	}))
+	d.After(1, 0, 1, 0)
 	e.Run()
 	want := []uint64{1, 5, 5}
 	if len(hits) != 3 || hits[0] != want[0] || hits[1] != want[1] || hits[2] != want[2] {
@@ -60,170 +74,229 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 func TestZeroDelayRunsAfterQueuedSameCycle(t *testing.T) {
-	var e Engine
-	var order []int
-	e.Schedule(0, func() { order = append(order, 1) })
-	e.Schedule(0, func() { order = append(order, 2) })
+	e, d, fired := single()
+	d.After(0, 0, 1, 0)
+	d.After(0, 0, 2, 0)
 	e.Run()
-	if order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order %v", order)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.Schedule(10, func() { fired++ })
-	e.Schedule(20, func() { fired++ })
-	if e.RunUntil(15) {
-		t.Fatal("RunUntil reported drain with a pending event")
-	}
-	if fired != 1 || e.Now() != 10 {
-		t.Fatalf("fired=%d now=%d", fired, e.Now())
-	}
-	if !e.RunUntil(100) {
-		t.Fatal("RunUntil did not drain")
-	}
-	if fired != 2 {
-		t.Fatalf("fired=%d", fired)
+	if got := *fired; got[0] != 1 || got[1] != 2 {
+		t.Fatalf("order %v", got)
 	}
 }
 
 func TestClockMonotone(t *testing.T) {
-	var e Engine
+	e := New(1)
+	d := e.Domain(0)
 	last := uint64(0)
+	d.Bind(sinkFunc(func(uint8, uint64, uint64) {
+		if d.Now() < last {
+			t.Fatal("clock went backwards")
+		}
+		last = d.Now()
+	}))
 	for i := 0; i < 100; i++ {
-		d := uint64(i % 7)
-		e.Schedule(d, func() {
-			if e.Now() < last {
-				t.Fatal("clock went backwards")
-			}
-			last = e.Now()
-		})
+		d.After(uint64(i%7), 0, 0, 0)
 	}
 	e.Run()
 }
 
-func BenchmarkScheduleRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var e Engine
-		for j := 0; j < 100; j++ {
-			e.Schedule(uint64(j%13), func() {})
+func TestSendZeroDelayPanics(t *testing.T) {
+	e := New(2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Send with delay 0 should panic: cross-domain interactions take at least one cycle")
 		}
+	}()
+	e.Domain(0).Send(e.Domain(1), 0, 0, 0, 0)
+}
+
+// TestHeapOrdering drives one domain through interleaved pushes and pops
+// via the public API and checks canonical order: cycle first, then local
+// events before messages, then scheduling sequence.
+func TestHeapOrdering(t *testing.T) {
+	e := New(2)
+	var order []uint64
+	e.Domain(0).Bind(sinkFunc(func(kind uint8, a, b uint64) { order = append(order, a) }))
+	e.Domain(1).Bind(sinkFunc(func(kind uint8, a, b uint64) {}))
+	// Same-cycle: a message scheduled *before* the locals must still fire
+	// after them.
+	e.Domain(1).Send(e.Domain(0), 7, 0, 100, 0)
+	e.Domain(0).After(7, 0, 1, 0)
+	e.Domain(0).After(7, 0, 2, 0)
+	e.Domain(0).After(3, 0, 0, 0)
+	e.Run()
+	want := []uint64{0, 1, 2, 100}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+}
+
+// TestRunReuse runs the same engine twice and checks the clock is monotone
+// and domain Now() agrees with the engine between runs.
+func TestRunReuse(t *testing.T) {
+	e := New(4)
+	for i := 0; i < 4; i++ {
+		d := e.Domain(i)
+		d.Bind(sinkFunc(func(kind uint8, a, b uint64) {
+			if a > 0 {
+				d.Send(e.Domain((d.ID()+1)%4), 3, kind, a-1, b)
+			}
+		}))
+	}
+	e.Domain(0).After(1, 0, 10, 0)
+	first := e.Run()
+	if first != 31 {
+		t.Fatalf("first run ended at cycle %d, want 31", first)
+	}
+	for i := 0; i < 4; i++ {
+		if got := e.Domain(i).Now(); got != first {
+			t.Fatalf("domain %d Now() = %d after run, want %d", i, got, first)
+		}
+	}
+	e.Domain(2).After(5, 0, 4, 0)
+	if second := e.Run(); second != first+5+4*3 {
+		t.Fatalf("second run ended at cycle %d, want %d", second, first+5+4*3)
+	}
+}
+
+// TestPacerBoundaries pins the pacer contract: the hook fires once per
+// boundary, in order, exactly for the boundaries up to the last event's
+// cycle, and never after any domain event at or after the boundary has
+// fired.
+func TestPacerBoundaries(t *testing.T) {
+	e := New(3)
+	var lastEvent uint64
+	for i := 0; i < 3; i++ {
+		d := e.Domain(i)
+		d.Bind(sinkFunc(func(kind uint8, a, b uint64) {
+			lastEvent = d.Now()
+			if a > 0 {
+				d.After(900, kind, a-1, b)
+			}
+		}))
+	}
+	var fired []uint64
+	e.SetPacer(1000, func(b uint64) {
+		if lastEvent >= b {
+			t.Fatalf("pacer boundary %d fired after an event at cycle %d", b, lastEvent)
+		}
+		fired = append(fired, b)
+	})
+	e.Domain(0).After(10, 1, 4, 0) // events at 10, 910, 1810, 2710, 3610
+	if end := e.Run(); end != 3610 {
+		t.Fatalf("final cycle %d, want 3610", end)
+	}
+	want := []uint64{1000, 2000, 3000}
+	if len(fired) != len(want) {
+		t.Fatalf("pacer fired at %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("pacer fired at %v, want %v", fired, want)
+		}
+	}
+	// A second run continues the boundary sequence from the armed
+	// position rather than re-firing old boundaries.
+	fired = fired[:0]
+	e.Domain(1).After(600, 1, 0, 0) // event at 4210; boundary 4000 fires
+	e.Run()
+	if len(fired) != 1 || fired[0] != 4000 {
+		t.Fatalf("second run pacer fired at %v, want [4000]", fired)
+	}
+}
+
+// TestTickerSlots pins the multi-ticker contract: slots tick independently
+// at their own periods, a boundary due in several slots fires them in
+// ascending slot order, and removing one slot leaves the others armed.
+func TestTickerSlots(t *testing.T) {
+	type firing struct {
+		slot     int
+		boundary uint64
+	}
+	runOnce := func(dropSlot0 bool) []firing {
+		e := New(3)
+		for i := 0; i < 3; i++ {
+			d := e.Domain(i)
+			d.Bind(sinkFunc(func(kind uint8, a, b uint64) {
+				if a > 0 {
+					d.After(700, kind, a-1, b)
+				}
+			}))
+		}
+		var fired []firing
+		e.SetPacer(1000, func(b uint64) { fired = append(fired, firing{0, b}) })
+		e.SetTicker(1, 1500, func(b uint64) { fired = append(fired, firing{1, b}) })
+		e.SetTicker(2, 3000, func(b uint64) { fired = append(fired, firing{2, b}) })
+		if dropSlot0 {
+			e.SetPacer(0, nil)
+		}
+		e.Domain(0).After(10, 1, 5, 0) // events at 10, 710, ..., 3510
 		e.Run()
+		return fired
+	}
+	want := []firing{
+		{0, 1000}, {1, 1500}, {0, 2000}, {0, 3000}, {1, 3000}, {2, 3000},
+	}
+	got := runOnce(false)
+	if len(got) != len(want) {
+		t.Fatalf("tickers fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("tickers fired %v, want %v", got, want)
+		}
+	}
+	// Removing slot 0 (the obs pacer pattern) must not disturb the other
+	// slots — the regression the slot API exists to prevent.
+	wantDropped := []firing{{1, 1500}, {1, 3000}, {2, 3000}}
+	got = runOnce(true)
+	if len(got) != len(wantDropped) {
+		t.Fatalf("dropped slot 0: tickers fired %v, want %v", got, wantDropped)
+	}
+	for i := range wantDropped {
+		if got[i] != wantDropped[i] {
+			t.Fatalf("dropped slot 0: tickers fired %v, want %v", got, wantDropped)
+		}
 	}
 }
 
-// countHandler is a reusable Handler for daemon tests; reschedule, when
-// non-zero, makes it re-queue itself as a daemon event after each firing.
-type countHandler struct {
-	e          *Engine
-	fired      []uint64
-	reschedule uint64
-}
-
-func (h *countHandler) Fire() {
-	h.fired = append(h.fired, h.e.Now())
-	if h.reschedule != 0 {
-		h.e.ScheduleDaemonHandler(h.reschedule, h)
+// TestTickerDoesNotKeepRunAlive pins that an armed ticker with no queued
+// events neither fires nor advances the clock.
+func TestTickerDoesNotKeepRunAlive(t *testing.T) {
+	e := New(1)
+	fired := 0
+	e.SetPacer(5, func(uint64) { fired++ })
+	if got := e.Run(); got != 0 || fired != 0 {
+		t.Fatalf("Run with only a ticker armed advanced to cycle %d and fired %d times", got, fired)
 	}
 }
 
-func TestDaemonDoesNotKeepRunAlive(t *testing.T) {
-	var e Engine
-	d := &countHandler{e: &e}
-	e.ScheduleDaemonHandler(5, d)
-	if got := e.Run(); got != 0 {
-		t.Fatalf("Run with only a daemon queued advanced to cycle %d, want 0", got)
-	}
-	if len(d.fired) != 0 {
-		t.Fatalf("daemon fired %d times with no live events", len(d.fired))
-	}
-	if e.Pending() != 1 || e.PendingLive() != 0 {
-		t.Fatalf("Pending=%d PendingLive=%d, want 1/0", e.Pending(), e.PendingLive())
-	}
-}
-
-func TestDaemonInterleavesWithLiveEvents(t *testing.T) {
-	var e Engine
-	d := &countHandler{e: &e, reschedule: 10}
-	e.ScheduleDaemonHandler(10, d)
-	e.Schedule(35, func() {})
+// TestTickerInterleavesWithEvents pins where boundaries fall relative to
+// events: every boundary up to the next event's cycle fires before that
+// event — including a boundary equal to it — and boundaries after the last
+// event do not fire.
+func TestTickerInterleavesWithEvents(t *testing.T) {
+	e, d, _ := single()
+	var order []uint64
+	d.Bind(sinkFunc(func(kind uint8, a, b uint64) { order = append(order, a) }))
+	e.SetPacer(10, func(b uint64) { order = append(order, 1000+b) })
+	d.After(20, 0, 1, 0)
+	d.After(20, 0, 2, 0)
+	d.After(35, 0, 3, 0)
 	if got := e.Run(); got != 35 {
 		t.Fatalf("final cycle %d, want 35", got)
 	}
-	// Boundaries 10, 20, 30 precede the live event at 35; the tick armed
-	// for 40 stays queued.
-	if len(d.fired) != 3 || d.fired[0] != 10 || d.fired[1] != 20 || d.fired[2] != 30 {
-		t.Fatalf("daemon fired at %v, want [10 20 30]", d.fired)
+	want := []uint64{1010, 1020, 1, 2, 1030, 3}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("rearmed daemon not left queued: Pending=%d", e.Pending())
-	}
-}
-
-func TestDaemonPersistsAcrossRuns(t *testing.T) {
-	var e Engine
-	d := &countHandler{e: &e, reschedule: 10}
-	e.ScheduleDaemonHandler(10, d)
-	e.Schedule(15, func() {})
-	e.Run()
-	if len(d.fired) != 1 || d.fired[0] != 10 {
-		t.Fatalf("first run: daemon fired at %v, want [10]", d.fired)
-	}
-	// A second Run with fresh live events resumes the same daemon from its
-	// queued position (cycle 20) without rearming.
-	e.Schedule(30, func() {}) // now=15, so fires at 45
-	e.Run()
-	if len(d.fired) != 4 || d.fired[1] != 20 || d.fired[2] != 30 || d.fired[3] != 40 {
-		t.Fatalf("second run: daemon fired at %v, want [10 20 30 40]", d.fired)
-	}
-}
-
-func TestDaemonSameCycleFIFOWithLive(t *testing.T) {
-	var e Engine
-	var order []string
-	e.Schedule(5, func() { order = append(order, "live1") })
-	e.ScheduleDaemonHandler(5, funcHandler(func() { order = append(order, "daemon") }))
-	e.Schedule(5, func() { order = append(order, "live2") })
-	e.Run()
-	if len(order) != 3 || order[0] != "live1" || order[1] != "daemon" || order[2] != "live2" {
-		t.Fatalf("same-cycle order %v, want [live1 daemon live2]", order)
-	}
-}
-
-func TestRunUntilStopsOnDaemonOnlyQueue(t *testing.T) {
-	var e Engine
-	d := &countHandler{e: &e, reschedule: 10}
-	e.ScheduleDaemonHandler(10, d)
-	e.Schedule(25, func() {})
-	if !e.RunUntil(100) {
-		t.Fatal("RunUntil(100) did not drain the live queue")
-	}
-	if e.Now() != 25 {
-		t.Fatalf("stopped at cycle %d, want 25", e.Now())
-	}
-}
-
-// TestScheduleHandlerSteadyStateAllocFree pins the zero-allocation property
-// the simulator's hot path depends on: once the queue's backing array has
-// grown, scheduling reused handlers (daemon or not) and draining them
-// allocates nothing.
-func TestScheduleHandlerSteadyStateAllocFree(t *testing.T) {
-	var e Engine
-	live := &countHandler{e: &e}
-	daemon := &countHandler{e: &e}
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 8; i++ {
-			e.ScheduleHandler(uint64(i%3), live)
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
 		}
-		e.ScheduleDaemonHandler(1, daemon)
-		e.Run()
-		live.fired = live.fired[:0]
-		daemon.fired = daemon.fired[:0]
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state schedule/run allocated %.1f times per iteration", allocs)
 	}
 }

@@ -65,7 +65,7 @@ func TestRunSharedMatchesRunOne(t *testing.T) {
 	gShared := g
 	gShared.Voltage = 0.625
 	faults := gpu.BuildSharedFaults(gShared)
-	got, err := RunShared(context.Background(), gShared, newScheme, faults, traces, 1)
+	got, err := RunShared(context.Background(), gShared, newScheme, faults, traces)
 	if err != nil {
 		t.Fatalf("RunShared: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -122,8 +123,7 @@ func TestRunOneNamedCacheRoundTrip(t *testing.T) {
 	}
 	cold.Counters = nil
 	// Sched, like Counters, is not round-tripped: it describes how the cold
-	// run was scheduled (and depends on the shard count, which the cache key
-	// deliberately excludes), not what the simulation computed.
+	// run was scheduled, not what the simulation computed.
 	cold.Sched = warm.Sched
 	if warm != cold {
 		t.Fatalf("warm result diverges from cold: warm %+v, cold %+v", warm, cold)
@@ -204,30 +204,39 @@ func TestProgressConcurrent(t *testing.T) {
 // and killi-simd.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
-		name                                 string
-		requests, parallel, shards, maxProcs int
-		ok                                   bool
+		name                         string
+		requests, parallel, maxProcs int
+		ok                           bool
 	}{
-		{"defaults", 12000, -1, 1, 8, true},
-		{"explicit parallel", 4000, 4, 2, 8, true},
-		{"zero requests", 0, -1, 1, 8, false},
-		{"negative requests", -5, -1, 1, 8, false},
-		{"zero shards", 4000, -1, 0, 8, false},
-		{"negative shards", 4000, -1, -2, 8, false},
-		{"zero parallel", 4000, 0, 1, 8, false},
-		{"parallel below -1", 4000, -3, 1, 8, false},
-		{"8x budget is allowed", 4000, 16, 4, 8, true},
-		{"over 8x budget", 4000, 32, 4, 8, false},
-		{"single core small shards ok", 4000, 1, 8, 1, true},
-		{"single core oversubscribed", 4000, 3, 8, 1, false},
+		{"defaults", 12000, -1, 8, true},
+		{"explicit parallel", 4000, 4, 8, true},
+		{"zero requests", 0, -1, 8, false},
+		{"negative requests", -5, -1, 8, false},
+		{"zero parallel", 4000, 0, 8, false},
+		{"parallel below -1", 4000, -3, 8, false},
+		{"8x budget is allowed", 4000, 64, 8, true},
+		{"over 8x budget", 4000, 65, 8, false},
+		{"single core 8x ok", 4000, 8, 1, true},
+		{"single core oversubscribed", 4000, 9, 1, false},
 	}
 	for _, c := range cases {
-		err := ValidateFlags(c.requests, c.parallel, c.shards, c.maxProcs)
+		err := ValidateFlags(c.requests, c.parallel, c.maxProcs)
 		if c.ok && err != nil {
 			t.Errorf("%s: unexpected error: %v", c.name, err)
 		}
 		if !c.ok && err == nil {
 			t.Errorf("%s: combination accepted, want error", c.name)
 		}
+	}
+}
+
+// TestWithDefaultsAutoParallelism pins the Parallelism defaults: -1 runs
+// one worker per GOMAXPROCS, 0 runs serially.
+func TestWithDefaultsAutoParallelism(t *testing.T) {
+	if got, want := (Config{Parallelism: -1}).withDefaults().Parallelism, runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Parallelism -1 defaulted to %d, want GOMAXPROCS=%d", got, want)
+	}
+	if got := (Config{}).withDefaults().Parallelism; got != 1 {
+		t.Fatalf("zero Parallelism defaulted to %d, want 1", got)
 	}
 }

@@ -126,7 +126,7 @@ func parseRatio(s string) (int, error) {
 
 // SchemeFactoryByName validates a scheme name once and returns a factory
 // building fresh instances of it — the form gpu.New consumes, since the
-// sharded L2 attaches one scheme instance per bank. The name grammar is
+// banked L2 attaches one scheme instance per bank. The name grammar is
 // SchemeSyntax, exactly as SchemeByName.
 func SchemeFactoryByName(name string) (protection.Factory, error) {
 	if _, err := SchemeByName(name); err != nil {
@@ -198,17 +198,14 @@ type Config struct {
 	WarmupKernels int
 	// Parallelism bounds the number of concurrently running simulations.
 	// 0 or 1 runs the sweep serially; higher values use a worker pool of
-	// that size; negative values mean GOMAXPROCS divided by Shards (so
-	// shards x sweep workers stays budgeted against the machine). Every
-	// task builds its own gpu.System and protection schemes and the merge
-	// order is fixed, so results are bit-for-bit identical at any
-	// parallelism.
+	// that size; negative values mean GOMAXPROCS. Every task builds its
+	// own gpu.System and protection schemes and the merge order is fixed,
+	// so results are bit-for-bit identical at any parallelism.
 	Parallelism int
-	// Shards is the intra-run shard count each simulation runs with
-	// (gpu.System.SetShards). Results are bit-identical at every value —
-	// the engine's lookahead barrier keeps per-domain event order
-	// canonical — so this knob, like Parallelism, trades only wall-clock.
-	// 0 or 1 is the serial fast path.
+	// Shards is ignored. It remains only so existing callers (the
+	// perfbench benchmark sets it to 1) keep compiling.
+	//
+	// Deprecated: every simulation runs on the serial engine.
 	Shards int
 	// CacheDir, when non-empty, enables the content-addressed result cache
 	// (internal/simcache) rooted at that directory: every task result is
@@ -253,11 +250,8 @@ func (c Config) withDefaults() Config {
 			c.Workloads = append(c.Workloads, w.Name)
 		}
 	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
 	if c.Parallelism < 0 {
-		c.Parallelism = max(1, runtime.GOMAXPROCS(0)/c.Shards)
+		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.Parallelism == 0 {
 		c.Parallelism = 1
@@ -525,7 +519,6 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 			}
 		}
 		sys := gpu.NewShared(g, newScheme, faults)
-		sys.SetShards(cfg.Shards)
 		res, err := runKernels(ctx, sys, traces[t.workload], cfg.ScrubKernels)
 		if err != nil {
 			return gpu.Result{}, err
@@ -630,7 +623,6 @@ func RunOne(ctx context.Context, cfg Config, workloadName string, newScheme prot
 	}
 	traces := w.TraceSet(g.CUs, cfg.RequestsPerCU, KernelSeeds(cfg.Seed, cfg.WarmupKernels))
 	sys := gpu.New(g, newScheme)
-	sys.SetShards(cfg.Shards)
 	return runKernels(ctx, sys, traces, cfg.ScrubKernels)
 }
 
@@ -645,9 +637,8 @@ func RunOne(ctx context.Context, cfg Config, workloadName string, newScheme prot
 // RunOne with the equivalent configuration (pinned by
 // TestRunSharedMatchesRunOne). Cancelling ctx stops at the next kernel
 // boundary and returns ctx.Err().
-func RunShared(ctx context.Context, g gpu.Config, newScheme protection.Factory, faults *gpu.SharedFaults, traces *workload.TraceSet, shards int) (gpu.Result, error) {
+func RunShared(ctx context.Context, g gpu.Config, newScheme protection.Factory, faults *gpu.SharedFaults, traces *workload.TraceSet) (gpu.Result, error) {
 	sys := gpu.NewShared(g, newScheme, faults)
-	sys.SetShards(shards)
 	return runKernels(ctx, sys, traces, 0)
 }
 
@@ -716,7 +707,6 @@ func RunOneObserved(ctx context.Context, cfg Config, workloadName string, newSch
 	}
 	traces := w.TraceSet(g.CUs, cfg.RequestsPerCU, KernelSeeds(cfg.Seed, cfg.WarmupKernels))
 	sys := gpu.New(g, newScheme)
-	sys.SetShards(cfg.Shards)
 	sys.SetObserver(o, epochCycles)
 	return runKernels(ctx, sys, traces, cfg.ScrubKernels)
 }
@@ -725,24 +715,21 @@ func RunOneObserved(ctx context.Context, cfg Config, workloadName string, newSch
 // or silently oversubscribe the machine, with one-line errors killi-sim
 // and killi-simd print verbatim. maxProcs is the GOMAXPROCS budget
 // (parameterized for tests). parallel follows the Config.Parallelism
-// convention: -1 auto-budgets GOMAXPROCS/shards, positive is an explicit
-// worker count; 0 and other negatives are rejected as ambiguous. An
-// explicit parallel × shards product more than 8× over maxProcs is a
-// configuration mistake (each unit is a busy goroutine), not a tuning
-// choice, and is rejected rather than thrashed on.
-func ValidateFlags(requests, parallel, shards, maxProcs int) error {
+// convention: -1 means GOMAXPROCS, positive is an explicit worker count;
+// 0 and other negatives are rejected as ambiguous. An explicit worker
+// count more than 8× over maxProcs is a configuration mistake (each worker
+// is a busy goroutine), not a tuning choice, and is rejected rather than
+// thrashed on.
+func ValidateFlags(requests, parallel, maxProcs int) error {
 	if requests <= 0 {
 		return fmt.Errorf("-requests must be a positive per-CU trace length, got %d", requests)
 	}
-	if shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", shards)
-	}
 	if parallel == 0 || parallel < -1 {
-		return fmt.Errorf("-parallel must be -1 (auto: GOMAXPROCS/shards) or a positive worker count, got %d", parallel)
+		return fmt.Errorf("-parallel must be -1 (auto: GOMAXPROCS) or a positive worker count, got %d", parallel)
 	}
-	if parallel > 0 && maxProcs > 0 && parallel*shards > 8*maxProcs {
-		return fmt.Errorf("-parallel %d x -shards %d = %d concurrent workers oversubscribes GOMAXPROCS=%d by more than 8x; lower one or use -parallel -1 to auto-budget",
-			parallel, shards, parallel*shards, maxProcs)
+	if parallel > 0 && maxProcs > 0 && parallel > 8*maxProcs {
+		return fmt.Errorf("-parallel %d oversubscribes GOMAXPROCS=%d by more than 8x; lower it or use -parallel -1 to auto-budget",
+			parallel, maxProcs)
 	}
 	return nil
 }

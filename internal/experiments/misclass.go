@@ -76,7 +76,6 @@ func RunMisclass(ctx context.Context, cfg Config, workloadName, schemeName strin
 	g.Classes = spec
 	traces := w.TraceSet(g.CUs, cfg.RequestsPerCU, KernelSeeds(cfg.Seed, cfg.WarmupKernels))
 	sys := gpu.New(g, newScheme)
-	sys.SetShards(cfg.Shards)
 	res, err := runKernels(ctx, sys, traces, cfg.ScrubKernels)
 	if err != nil {
 		return MisclassRow{}, err

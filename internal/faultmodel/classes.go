@@ -14,8 +14,7 @@ import (
 //
 // Determinism contract: every classed decision is a pure hash of
 // (seed, line, cell[, epoch]) — never a consumed RNG stream — so results
-// are bit-identical at any engine shard count, sweep parallelism, or
-// evaluation order. The per-die seed flows in through ClassSeed(FaultSeed),
+// are bit-identical at any sweep parallelism or evaluation order. The per-die seed flows in through ClassSeed(FaultSeed),
 // and FaultSeed is already domain-separated per die by DieSeed.
 
 // FaultClass labels how a sampled fault manifests over time.
@@ -251,7 +250,8 @@ func ClassOf(classSeed uint64, line, bit int, spec ClassSpec) FaultClass {
 // ActiveInEpoch reports whether a non-persistent fault is active during a
 // fault epoch: a deterministic per-(seed, line, cell, epoch) hash stream
 // compared against the activation probability. The same (inputs → answer)
-// mapping holds at any shard count because it consumes no mutable state.
+// mapping holds in any evaluation order because it consumes no mutable
+// state.
 func ActiveInEpoch(classSeed uint64, line, bit int, epoch uint64, p float64) bool {
 	if p <= 0 {
 		return false

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"killi/internal/faultmodel"
@@ -15,6 +17,18 @@ func mixedSpec(t *testing.T, s string) faultmodel.ClassSpec {
 		t.Fatalf("ParseClassSpec(%q): %v", s, err)
 	}
 	return spec
+}
+
+// resultDigest hashes a Result's fields and full counter set.
+func resultDigest(res Result) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "cycles=%d instrs=%d acc=%d miss=%d mem=%d disabled=%d\n",
+		res.Cycles, res.Instructions, res.L2Accesses, res.L2Misses,
+		res.MemAccesses, res.DisabledLines)
+	for _, n := range res.Counters.Names() {
+		fmt.Fprintf(h, "%s=%d\n", n, res.Counters.Get(n))
+	}
+	return h.Sum64()
 }
 
 // classedConfig is smallConfig with a mixed fault population: intermittent
@@ -46,56 +60,29 @@ func TestClassedZeroSpecBitIdentity(t *testing.T) {
 	}
 }
 
-// TestClassedShardCountInvariant extends the determinism gate to a mixed
+// TestClassedRunDeterministic extends the determinism gate to a mixed
 // fault population: intermittent activation, aging ramp, and the
 // transient-strike ticker must all be pure functions of simulated time, so
-// the digest is identical at K = 1, 2, 4, 16.
-func TestClassedShardCountInvariant(t *testing.T) {
+// two identical systems agree on every counter — over a warm-up and a
+// measured kernel, since the fault epoch derives from the monotone engine
+// clock and the strike ticker stays armed between Runs.
+func TestClassedRunDeterministic(t *testing.T) {
 	traces := shortTraces("xsbench", 1200)
-	var want uint64
-	var wantStrikes uint64
-	for i, k := range shardCounts {
+	run := func() (warm, meas Result) {
 		sys := New(classedConfig(t, 0.625), killiFac(killi.Config{Ratio: 64}))
-		sys.SetShards(k)
-		res := sys.Run(traces)
-		d := resultDigest(res)
-		if i == 0 {
-			want = d
-			wantStrikes = res.TransientStrikes
-			if wantStrikes == 0 {
-				t.Fatal("strike ticker injected nothing; raise the rate so the test exercises it")
-			}
-			continue
-		}
-		if d != want {
-			t.Fatalf("K=%d classed digest %#x differs from K=1 digest %#x", k, d, want)
-		}
-		if res.TransientStrikes != wantStrikes {
-			t.Fatalf("K=%d strikes %d, K=1 %d", k, res.TransientStrikes, wantStrikes)
-		}
+		return sys.Run(traces), sys.Run(traces)
 	}
-}
-
-// TestClassedShardInvariantAcrossRuns covers the cross-kernel state: the
-// fault epoch derives from the monotone engine clock and the strike ticker
-// stays armed between Runs, so warm-up + measured kernels agree at every
-// shard count.
-func TestClassedShardInvariantAcrossRuns(t *testing.T) {
-	traces := shortTraces("nekbone", 1000)
-	run := func(k int) (uint64, uint64) {
-		sys := New(classedConfig(t, 0.625), killiFac(killi.Config{Ratio: 64}))
-		sys.SetShards(k)
-		warm := sys.Run(traces)
-		meas := sys.Run(traces)
-		return resultDigest(warm), resultDigest(meas)
+	w1, m1 := run()
+	if m1.TransientStrikes == 0 {
+		t.Fatal("strike ticker injected nothing; raise the rate so the test exercises it")
 	}
-	w1, m1 := run(1)
-	for _, k := range []int{2, 4, 16} {
-		wk, mk := run(k)
-		if wk != w1 || mk != m1 {
-			t.Fatalf("K=%d classed diverges across runs: warm %#x/%#x measured %#x/%#x",
-				k, wk, w1, mk, m1)
-		}
+	w2, m2 := run()
+	if resultDigest(w1) != resultDigest(w2) || resultDigest(m1) != resultDigest(m2) {
+		t.Fatalf("classed runs diverge: warm %#x/%#x measured %#x/%#x",
+			resultDigest(w1), resultDigest(w2), resultDigest(m1), resultDigest(m2))
+	}
+	if m1.TransientStrikes != m2.TransientStrikes {
+		t.Fatalf("strikes %d vs %d", m1.TransientStrikes, m2.TransientStrikes)
 	}
 }
 

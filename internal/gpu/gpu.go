@@ -20,12 +20,11 @@
 // (with its L1) and one per address-interleaved L2 bank (tags, data slice,
 // per-bank ECC scheme instance, DRAM channel queue, stat counters) — that
 // communicate only through timed engine messages with at least one cycle
-// of latency. That structure lets engine.Sharded fire independent banks'
-// events in parallel while keeping every statistic and observer stream
-// bit-identical to the serial schedule at any shard count (see
-// System.SetShards). The simulation hot paths remain allocation-free in
-// the steady state: counter updates go through pre-interned stats handles
-// and events are fixed-size values inside the engine's per-shard heaps.
+// of latency. Each domain's events fire in the engine's canonical order,
+// which fixes every per-bank RNG draw, ECC decision and DRAM queue slot.
+// The simulation hot paths remain allocation-free in the steady state:
+// counter updates go through pre-interned stats handles and events are
+// fixed-size values inside the engine's heap.
 package gpu
 
 import (
@@ -82,7 +81,7 @@ type Config struct {
 	L2TagLat         uint64 // cycles
 	L2DataLat        uint64 // cycles
 	ECCLat           uint64 // SECDED/parity latency, cycles
-	L1Lat            uint64 // L1 hit latency, cycles (>= 1: the CU-to-bank lookahead)
+	L1Lat            uint64 // L1 hit latency, cycles (>= 1: a CU-to-bank message takes a cycle)
 	WindowPerCU      int    // outstanding-request window per CU
 	IssueIPC         float64
 	Mem              mem.Config
@@ -152,10 +151,9 @@ type Result struct {
 	HasMisclass bool
 	Counters    *stats.Counters
 	// Sched is the engine's deterministic scheduling ledger for this run
-	// (barrier rounds, fired events/timestamps, cross-shard traffic). It is
-	// a pure function of the simulation and the shard count — not of the
-	// host — so benchmarks can gate on it even on a single-core machine. It
-	// is deliberately excluded from result digests: scheduling is not
+	// (fired events and timestamps). It is a pure function of the
+	// simulation — not of the host — so benchmarks can gate on it. It is
+	// deliberately excluded from result digests: scheduling is not
 	// simulation semantics.
 	Sched engine.RunStats
 }
@@ -180,7 +178,7 @@ const (
 // instance per L2 bank, built by the factory). Construct with New.
 type System struct {
 	cfg Config
-	eng *engine.Sharded
+	eng *engine.Engine
 
 	cus   []*cuDomain
 	banks []*bankDomain
@@ -213,8 +211,6 @@ type System struct {
 	// epoch length in cycles (always valid, defaulted in NewShared).
 	classed    bool
 	classEpoch uint64
-
-	shards int
 
 	// observer is the attached observability sink (nil = off, the
 	// default; see SetObserver in obs.go).
@@ -343,7 +339,6 @@ func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *
 		effBanks:   effBanks,
 		globalSets: globalSets,
 		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		shards:     1,
 	}
 	if globalSets&(globalSets-1) == 0 {
 		s.pow2Sets = true
@@ -368,7 +363,7 @@ func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *
 			shared.Resolved.Voltage(), cfg.Voltage))
 	}
 
-	s.eng = engine.NewSharded(cfg.CUs + effBanks)
+	s.eng = engine.New(cfg.CUs + effBanks)
 
 	l1Sets := cfg.L1Bytes / cfg.LineBytes / cfg.L1Ways
 	s.cus = make([]*cuDomain, cfg.CUs)
@@ -431,33 +426,12 @@ func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *
 				b.strikeRNG = xrand.New(cfg.FaultSeed ^ 0x57a1c3b0175eed ^ (uint64(i)+1)*0xd6e8feb86659fd93)
 			}
 			// Slot 1: the observer pacer owns slot 0 (obs.go). The ticker
-			// fires with every shard parked, so the handler may touch all
-			// banks; its fire-set is a pure function of the event timeline,
-			// never of the shard count.
+			// fires between events, so the handler may touch all banks;
+			// its fire-set is a pure function of the event timeline.
 			s.eng.SetTicker(1, s.classEpoch, s.onStrikeTick)
 		}
 	}
 
-	// Declare the latency topology so the engine can derive real per-shard
-	// lookahead instead of assuming the worst-case one-cycle floor. The
-	// graph is bipartite: CUs message banks (reads/stores) no sooner than
-	// the L1 latency, banks message CUs (responses) no sooner than the
-	// fastest response path — a hit (tag+data+ECC) or, for configurations
-	// with extreme pipeline latencies, a miss (tag+DRAM) — plus the one
-	// cycle every response spends in delivery. CUs never message CUs and
-	// banks never message banks, which the engine exploits: those shard
-	// pairs constrain each other only through round trips.
-	resp := cfg.L2TagLat + cfg.L2DataLat + cfg.ECCLat
-	if miss := cfg.L2TagLat + orDefault(cfg.Mem).LatencyCycles; miss < resp {
-		resp = miss
-	}
-	resp++
-	for ci := 0; ci < cfg.CUs; ci++ {
-		for bi := 0; bi < effBanks; bi++ {
-			s.eng.DeclareEdge(ci, cfg.CUs+bi, cfg.L1Lat)
-			s.eng.DeclareEdge(cfg.CUs+bi, ci, resp)
-		}
-	}
 	return s
 }
 
@@ -502,57 +476,11 @@ func (b *bankDomain) globalLineID(localID int) int {
 	return (localSet*b.sys.effBanks+b.bank)*ways + way
 }
 
-// --- shard control ---
-
-// SetShards selects how many engine shards (worker goroutines) the next
-// Run uses. Results are bit-identical at every shard count — the engine's
-// lookahead barrier fires each domain's events in canonical order
-// regardless of grouping — so the knob trades only wall-clock. K = 1 (the
-// default) is the serial fast path. Must be called between Runs.
+// SetShards does nothing. It remains only so existing callers (the
+// perfbench benchmark calls SetShards(1)) keep compiling.
 //
-// For K >= 2 the CUs and the banks are placed on disjoint shard sets
-// (roughly half each, clamped to the population sizes). The latency graph
-// is bipartite — CUs only message banks and vice versa — so keeping the
-// two populations apart means every shard pair is connected only by the
-// declared CU→bank / bank→CU floors (or only by round trips through
-// them), which is what lets the engine coalesce many cycles into each
-// barrier round. Placement is a pure scheduling choice: it never affects
-// results.
-func (s *System) SetShards(k int) {
-	if k < 1 {
-		k = 1
-	}
-	n := s.cfg.CUs + s.effBanks
-	if k > n {
-		k = n
-	}
-	if k == 1 {
-		s.eng.SetShards(1)
-		s.shards = 1
-		return
-	}
-	kc := k / 2
-	if kc > s.cfg.CUs {
-		kc = s.cfg.CUs
-	}
-	kb := k - kc
-	if kb > s.effBanks {
-		kb = s.effBanks
-		kc = k - kb
-	}
-	cus := s.cfg.CUs
-	s.eng.AssignShards(k, func(dom int) int {
-		if dom < cus {
-			return dom % kc
-		}
-		return kc + (dom-cus)%kb
-	})
-	s.shards = s.eng.Shards()
-}
-
-// Shards returns the effective shard count (after clamping to the domain
-// count).
-func (s *System) Shards() int { return s.shards }
+// Deprecated: the engine is serial; there is nothing to shard.
+func (s *System) SetShards(int) {}
 
 // --- protection.Host implementation (per bank) ---
 
@@ -777,8 +705,7 @@ func (s *System) Scrub() (reclaimed int, ok bool) {
 }
 
 // mergeCounters rebuilds the merged counter view from the system counters
-// and every domain's private set, in fixed order. Addition commutes, so
-// the merged values are independent of shard count and scheduling.
+// and every domain's private set, in fixed order.
 func (s *System) mergeCounters() {
 	s.ctr.Reset()
 	s.ctr.MergeFrom(&s.sysCtr)

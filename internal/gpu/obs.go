@@ -52,12 +52,11 @@ func (b *bankDomain) Observer() obs.Observer {
 // simulated machine still behaves identically (sampling only reads state);
 // only the wall-clock cost changes.
 //
-// Emission ordering is deterministic at every shard count: each bank
-// buffers its schemes' events (translating bank-local line IDs to whole-L2
-// ones), and the buffers are drained sorted by (cycle, bank) at epoch
-// boundaries and Run edges — same-cycle per-bank DFH resets coalesce into
-// one whole-cache Reset. The intra-bank order is the bank's canonical
-// event order, which the engine guarantees is shard-invariant.
+// Emission ordering is deterministic: each bank buffers its schemes'
+// events (translating bank-local line IDs to whole-L2 ones), and the
+// buffers are drained sorted by (cycle, bank) at epoch boundaries and Run
+// edges — same-cycle per-bank DFH resets coalesce into one whole-cache
+// Reset. The intra-bank order is the bank's canonical event order.
 func (s *System) SetObserver(o obs.Observer, epochCycles uint64) {
 	s.observer = o
 	if epochCycles == 0 {
@@ -94,7 +93,7 @@ type bufferedObsEvent struct {
 
 // bankObserver is the obs.Observer a bank hands its scheme: it only
 // buffers, so emission cost never perturbs cross-bank event timing and the
-// flush can impose a shard-count-independent order.
+// flush can impose a deterministic cross-bank order.
 type bankObserver struct {
 	b      *bankDomain
 	events []bufferedObsEvent
@@ -201,9 +200,8 @@ func (s *System) flushBuffered() {
 
 // sample emits one obs.Sample for the epoch closing at the given cycle,
 // with deltas since the previous sample. Counter state is merged across
-// domains first; every domain is parked (or the engine idle), so the scan
-// is safe and — because merge order is fixed and addition commutes —
-// deterministic at every shard count.
+// domains first, in fixed order; samples run between events (or with the
+// engine idle), so the scan sees every domain at rest.
 func (s *System) sample(cycle uint64) {
 	t := s.sampler
 	s.mergeCounters()

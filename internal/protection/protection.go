@@ -63,7 +63,7 @@ type Host interface {
 	Observer() obs.Observer
 }
 
-// Factory builds a fresh, unattached Scheme instance. The sharded L2
+// Factory builds a fresh, unattached Scheme instance. The banked L2
 // attaches one instance per bank — each protects its bank's lines through
 // its own Host view and shares nothing with its siblings — so systems are
 // constructed from a factory rather than a single pre-built instance.

@@ -107,14 +107,13 @@ func TestCampaignKeyCanonical(t *testing.T) {
 		Seed:          1,
 		RequestsPerCU: 2000,
 		PassThreshold: 1.10,
-		Shards:        2,  // execution knob: excluded from the key
 		Parallelism:   -1, // execution knob: excluded from the key
 	}
-	a, err := terse.normalized(1, 8)
+	a, err := terse.normalized(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := full.normalized(1, 8)
+	b, err := full.normalized(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestCampaignKeyCanonical(t *testing.T) {
 	}
 	other := terse
 	other.Dies = 51
-	c, err := other.normalized(1, 8)
+	c, err := other.normalized(8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,13 +26,13 @@ import (
 //	GET  /v1/observe  run one workload × scheme pair and stream its DFH
 //	                  resets and per-epoch samples as Server-Sent Events
 //	                  (query params: workload, scheme, voltage, requests,
-//	                  seed, warmup, shards, epoch), ending with a "result"
+//	                  seed, warmup, epoch), ending with a "result"
 //	                  event. Slow subscribers miss events rather than stall
 //	                  the simulation; a "done" event reports the drop count.
 //	GET  /v1/campaign run a fleet Monte Carlo campaign and stream its
 //	                  per-die progress as Server-Sent Events (query params:
 //	                  dies, workloads, schemes, voltages, requests, seed,
-//	                  warmup, shards, threshold), ending with a "result"
+//	                  warmup, threshold), ending with a "result"
 //	                  event carrying the aggregated campaign.Result. Plain
 //	                  (non-streamed) campaigns POST /v1/jobs with kind
 //	                  "campaign" instead and get coalescing and retention.
@@ -346,7 +346,6 @@ func observeRequest(r *http.Request) (JobRequest, error) {
 		"requests": func(v uint64) { req.RequestsPerCU = int(v) },
 		"seed":     func(v uint64) { req.Seed = v },
 		"warmup":   func(v uint64) { req.WarmupKernels = int(v) },
-		"shards":   func(v uint64) { req.Shards = int(v) },
 		"epoch":    func(v uint64) { req.EpochCycles = v },
 	} {
 		if raw := q.Get(name); raw != "" {
@@ -381,7 +380,6 @@ func campaignRequest(r *http.Request) (JobRequest, error) {
 		"requests": func(v uint64) { req.RequestsPerCU = int(v) },
 		"seed":     func(v uint64) { req.Seed = v },
 		"warmup":   func(v uint64) { req.WarmupKernels = int(v) },
-		"shards":   func(v uint64) { req.Shards = int(v) },
 	} {
 		if raw := q.Get(name); raw != "" {
 			v, err := strconv.ParseUint(raw, 10, 63)

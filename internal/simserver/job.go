@@ -1,11 +1,10 @@
 // Package simserver is the resident simulation service behind cmd/killi-simd:
 // a job engine that accepts single-run, sweep, and fleet-campaign requests,
-// dedupes identical
-// in-flight requests (singleflight-style coalescing keyed on the simcache
-// SHA-256 digest of the job's result-determining inputs), bounds concurrent
-// work with a worker pool budgeted against GOMAXPROCS (shards × workers),
-// applies backpressure when the queue is full, streams per-epoch obs samples
-// to observe subscribers, and drains gracefully on shutdown.
+// dedupes identical in-flight requests (singleflight-style coalescing keyed
+// on the simcache SHA-256 digest of the job's result-determining inputs),
+// bounds concurrent work with a worker pool sized to GOMAXPROCS, applies
+// backpressure when the queue is full, streams per-epoch obs samples to
+// observe subscribers, and drains gracefully on shutdown.
 //
 // cmd/killi-sim submits its sweep through the same in-process API, so the
 // CLI and the daemon share one validation, caching, cancellation, and
@@ -51,12 +50,9 @@ type JobRequest struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// WarmupKernels precede the measured kernel (default 0).
 	WarmupKernels int `json:"warmup_kernels,omitempty"`
-	// Shards is the per-simulation shard count (default: the server's).
-	// Results are bit-identical at every value, so it does not participate
-	// in the job key.
-	Shards int `json:"shards,omitempty"`
 	// Parallelism bounds a sweep's internal worker pool (default: the
-	// server budget). Like Shards it never changes results, only wall-clock.
+	// server budget). It never changes results, only wall-clock, so it
+	// does not participate in the job key.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Workloads restricts a sweep (default: the full ten-workload catalog).
 	Workloads []string `json:"workloads,omitempty"`
@@ -102,7 +98,6 @@ func (r JobRequest) campaignConfig() campaign.Config {
 		RequestsPerCU: r.RequestsPerCU,
 		WarmupKernels: r.WarmupKernels,
 		Parallelism:   r.Parallelism,
-		Shards:        r.Shards,
 		PassThreshold: r.PassThreshold,
 	}
 }
@@ -110,11 +105,11 @@ func (r JobRequest) campaignConfig() campaign.Config {
 // normalized returns the request with every default made explicit, or a
 // one-line validation error. maxProcs parameterizes the oversubscription
 // check exactly as experiments.ValidateFlags.
-func (r JobRequest) normalized(defaultShards, maxProcs int) (JobRequest, error) {
+func (r JobRequest) normalized(maxProcs int) (JobRequest, error) {
 	switch r.Kind {
 	case KindSweep, KindRun:
 	case KindCampaign:
-		return r.normalizedCampaign(defaultShards, maxProcs)
+		return r.normalizedCampaign(maxProcs)
 	case "":
 		return r, fmt.Errorf(`job kind is required ("%s", "%s", or "%s")`, KindSweep, KindRun, KindCampaign)
 	default:
@@ -138,13 +133,10 @@ func (r JobRequest) normalized(defaultShards, maxProcs int) (JobRequest, error) 
 	if r.WarmupKernels < 0 {
 		return r, fmt.Errorf("warmup_kernels must be >= 0, got %d", r.WarmupKernels)
 	}
-	if r.Shards == 0 {
-		r.Shards = defaultShards
-	}
 	if r.Parallelism == 0 {
 		r.Parallelism = -1
 	}
-	if err := experiments.ValidateFlags(r.RequestsPerCU, r.Parallelism, r.Shards, maxProcs); err != nil {
+	if err := experiments.ValidateFlags(r.RequestsPerCU, r.Parallelism, maxProcs); err != nil {
 		return r, err
 	}
 	if r.EpochCycles == 0 {
@@ -203,7 +195,7 @@ func (r JobRequest) normalized(defaultShards, maxProcs int) (JobRequest, error) 
 // deliberately differ from run/sweep where the statistics say they should —
 // 2000 requests per CU, not 4000: a campaign buys power from die count, not
 // trace length.
-func (r JobRequest) normalizedCampaign(defaultShards, maxProcs int) (JobRequest, error) {
+func (r JobRequest) normalizedCampaign(maxProcs int) (JobRequest, error) {
 	if r.Workload != "" || r.Scheme != "" {
 		return r, fmt.Errorf(`"workload"/"scheme" are run fields; a campaign takes "workloads" and "schemes"`)
 	}
@@ -213,13 +205,10 @@ func (r JobRequest) normalizedCampaign(defaultShards, maxProcs int) (JobRequest,
 	if r.EpochCycles != 0 {
 		return r, fmt.Errorf(`"epoch_cycles" is an observe field; campaigns stream progress, not epochs`)
 	}
-	if r.Shards == 0 {
-		r.Shards = defaultShards
-	}
 	if r.Parallelism == 0 {
 		r.Parallelism = -1
 	}
-	if err := experiments.ValidateFlags(max(r.RequestsPerCU, 1), r.Parallelism, r.Shards, maxProcs); err != nil {
+	if err := experiments.ValidateFlags(max(r.RequestsPerCU, 1), r.Parallelism, maxProcs); err != nil {
 		return r, err
 	}
 	cc, err := r.campaignConfig().Normalized()
@@ -236,11 +225,10 @@ func (r JobRequest) normalizedCampaign(defaultShards, maxProcs int) (JobRequest,
 }
 
 // key is the job's content address: the simcache SHA-256 digest of its
-// result-determining inputs. Shards and Parallelism are deliberately
-// excluded — results are bit-identical at every value of either (pinned by
-// the shard/parallelism invariance tests in internal/experiments and the
-// campaign parallelism-invariance test), so jobs differing only in
-// execution knobs coalesce into one simulation. v2 added the campaign
+// result-determining inputs. Parallelism is deliberately excluded —
+// results are bit-identical at every value (pinned by the parallelism
+// invariance tests in internal/experiments and internal/campaign), so jobs
+// differing only in that execution knob coalesce into one simulation. v2 added the campaign
 // fields (they hash as empty for run/sweep jobs); v3 added the fault-class
 // list (empty = persistent-only, canonicalized by normalization so every
 // spelling of the same mix shares a key).
@@ -267,7 +255,6 @@ func (r JobRequest) config(cacheDir string) experiments.Config {
 		Seed:          r.Seed,
 		WarmupKernels: r.WarmupKernels,
 		Parallelism:   r.Parallelism,
-		Shards:        r.Shards,
 		CacheDir:      cacheDir,
 		Workloads:     r.Workloads,
 	}

@@ -29,11 +29,7 @@ type Config struct {
 	// CacheDir roots the content-addressed result cache shared by every
 	// job ("" disables caching — every job simulates).
 	CacheDir string
-	// Shards is the per-simulation shard count jobs default to (0 = 1).
-	Shards int
-	// Workers bounds concurrently executing jobs. 0 budgets
-	// max(1, GOMAXPROCS/Shards), so shards × workers never oversubscribes
-	// the machine.
+	// Workers bounds concurrently executing jobs. 0 means GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds jobs waiting beyond the running ones; a full queue
 	// rejects new work with ErrBusy. 0 means 4 × Workers.
@@ -132,12 +128,9 @@ func (s *Server) Stats() Stats {
 
 // New starts a Server: its worker pool runs until Close.
 func New(cfg Config) (*Server, error) {
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = max(1, runtime.GOMAXPROCS(0)/cfg.Shards)
+		workers = runtime.GOMAXPROCS(0)
 	}
 	depth := cfg.QueueDepth
 	if depth <= 0 {
@@ -324,7 +317,7 @@ func runResult(res gpu.Result) *RunResult {
 // still warms the cache). Job execution is cancelled only by server
 // shutdown.
 func (s *Server) Submit(ctx context.Context, req JobRequest) (*JobResult, error) {
-	norm, err := req.normalized(s.cfg.Shards, runtime.GOMAXPROCS(0))
+	norm, err := req.normalized(runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, &ValidationError{Err: err}
 	}
@@ -368,7 +361,7 @@ func (s *Server) SubmitObserved(ctx context.Context, req JobRequest, o obs.Obser
 	if req.Kind != KindRun {
 		return nil, &ValidationError{Err: fmt.Errorf("observe streams are run jobs; got kind %q", req.Kind)}
 	}
-	norm, err := req.normalized(s.cfg.Shards, runtime.GOMAXPROCS(0))
+	norm, err := req.normalized(runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, &ValidationError{Err: err}
 	}
@@ -396,7 +389,7 @@ func (s *Server) SubmitCampaignObserved(ctx context.Context, req JobRequest, pro
 	if progress == nil {
 		return nil, &ValidationError{Err: fmt.Errorf("campaign stream needs a progress callback; use Submit for a plain campaign")}
 	}
-	norm, err := req.normalized(s.cfg.Shards, runtime.GOMAXPROCS(0))
+	norm, err := req.normalized(runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, &ValidationError{Err: err}
 	}

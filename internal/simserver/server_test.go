@@ -95,7 +95,7 @@ func TestSubmitValidation(t *testing.T) {
 		"negative requests":   {Kind: KindRun, Workload: "xsbench", Scheme: "killi-1:64", RequestsPerCU: -1},
 		"negative warmup":     {Kind: KindRun, Workload: "xsbench", Scheme: "killi-1:64", WarmupKernels: -1},
 		"silly voltage":       {Kind: KindRun, Workload: "xsbench", Scheme: "killi-1:64", Voltage: 9},
-		"bad shards":          {Kind: KindRun, Workload: "xsbench", Scheme: "killi-1:64", Shards: -2},
+		"bad parallelism":     {Kind: KindRun, Workload: "xsbench", Scheme: "killi-1:64", Parallelism: -2},
 	} {
 		_, err := s.Submit(ctx, req)
 		var verr *ValidationError
@@ -167,26 +167,25 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-// TestCoalescingIgnoresExecutionKnobs pins that shards/parallelism — which
-// never change results — do not fragment the key space.
+// TestCoalescingIgnoresExecutionKnobs pins that parallelism — which never
+// changes results — does not fragment the key space.
 func TestCoalescingIgnoresExecutionKnobs(t *testing.T) {
 	a := smallRun(1)
 	b := smallRun(1)
-	b.Shards = 2
 	b.Parallelism = 3
-	na, err := a.normalized(1, 8)
+	na, err := a.normalized(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := b.normalized(1, 8)
+	nb, err := b.normalized(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if na.key() != nb.key() {
-		t.Fatal("jobs differing only in shards/parallelism got distinct keys")
+		t.Fatal("jobs differing only in parallelism got distinct keys")
 	}
 	c := smallRun(2)
-	nc, err := c.normalized(1, 8)
+	nc, err := c.normalized(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,6 +365,7 @@ func TestHTTPJobEndpoint(t *testing.T) {
 	for name, body := range map[string]string{
 		"malformed":     `{"kind":`,
 		"unknown field": `{"kind":"run","workload":"xsbench","scheme":"killi-1:64","frobnicate":1}`,
+		"shards field":  `{"kind":"run","workload":"xsbench","scheme":"killi-1:64","shards":2}`,
 		"invalid":       `{"kind":"run"}`,
 	} {
 		if resp, doc := post(body); resp.StatusCode != http.StatusBadRequest || doc["error"] == "" {
@@ -505,7 +505,7 @@ func parseSSE(t *testing.T, resp *http.Response) map[string]int {
 func TestFaultClassJobs(t *testing.T) {
 	norm := func(r JobRequest) JobRequest {
 		t.Helper()
-		n, err := r.normalized(1, 8)
+		n, err := r.normalized(8)
 		if err != nil {
 			t.Fatal(err)
 		}

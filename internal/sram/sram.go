@@ -114,7 +114,7 @@ func NewResolved(n int, faults *faultmodel.Map, resolved *faultmodel.Resolved) *
 // g*stride + offset. This is how an address-interleaved L2 bank — which
 // owns every stride-th set of the cache — keeps the per-line fault
 // population of the whole-cache map without copying or re-deriving it, so
-// a sharded simulation sees bit-identical faults to a monolithic one.
+// a banked simulation sees bit-identical faults to a monolithic one.
 func NewResolvedView(n int, faults *faultmodel.Map, resolved *faultmodel.Resolved, ways, stride, offset int) *Array {
 	if ways < 1 || stride < 1 || offset < 0 || offset >= stride {
 		panic(fmt.Sprintf("sram: bad view geometry ways=%d stride=%d offset=%d", ways, stride, offset))
