@@ -12,13 +12,24 @@
 // in scheduling order before delivered messages (Send), which order among
 // themselves by (source domain, source sequence).
 //
-// The queue is a typed four-ary min-heap of fixed-size values, so the
-// steady-state pop loop allocates nothing. Boundary hooks (SetTicker) run
-// between events at multiples of their period, for samplers and injectors
-// that must see every domain at rest.
+// The queue is a timing wheel (a calendar queue with one bucket per
+// cycle): every event due within a fixed horizon of the clock sits in its
+// cycle's slot, a key-sorted list of pooled nodes, and an occupancy bitmap
+// finds the next non-empty slot. The model's scheduling delays are short
+// and bounded (issue and L1 latencies of a cycle or so, DRAM completions of
+// a few thousand cycles), so nearly every event goes straight to its slot;
+// the rare event beyond the horizon waits in a four-ary min-heap and moves
+// into the wheel once the clock comes within the horizon of it. Both
+// structures recycle their storage, so the steady-state pop loop allocates
+// nothing. Boundary hooks (SetTicker) run between events at multiples of
+// their period, for samplers and injectors that must see every domain at
+// rest.
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // EventSink receives a domain's events. Exactly one sink is bound per
 // domain; a sink should touch only its own domain's state and reach other
@@ -35,6 +46,14 @@ const (
 	// messages order among themselves by (source domain, source sequence).
 	msgClass = uint64(1) << 63
 	noEvent  = ^uint64(0)
+
+	// horizon is the timing wheel's span in cycles, one slot per cycle: an
+	// event due fewer than horizon cycles after the clock goes to the
+	// wheel, any later one to the overflow heap. It covers the model's
+	// longest DRAM completion (about 3,000 cycles) and must be a power of
+	// two and a multiple of 64 (one occupancy bit per slot).
+	horizon   = 4096
+	wheelMask = horizon - 1
 )
 
 // RunStats is the deterministic scheduling ledger of one Run: a pure
@@ -45,6 +64,10 @@ type RunStats struct {
 	Events uint64
 	// Timestamps counts distinct event cycles fired.
 	Timestamps uint64
+	// Overflow counts events scheduled at least the wheel's horizon ahead
+	// of the clock, which wait in the overflow heap. It covers every event
+	// scheduled since the previous Run returned, setup included.
+	Overflow uint64
 }
 
 // event is one queued event: payload (kind, a, b) for the sink of domain
@@ -55,6 +78,13 @@ type event struct {
 	a, b uint64
 	dst  int32
 	kind uint8
+}
+
+// node is one wheel entry: an event and the pool index of the next node in
+// its slot's list (0 ends the list; nodes[0] is never used).
+type node struct {
+	ev   event
+	next int32
 }
 
 func (e event) less(o event) bool {
@@ -132,11 +162,27 @@ func (d *Domain) Send(dst *Domain, delay uint64, kind uint8, a, b uint64) {
 
 // Engine is a discrete-event engine over a fixed set of domains. Construct
 // with New. Run is a plain pop loop with zero steady-state allocations.
+//
+// The wheel holds exactly the queued events due before now+horizon, so its
+// earliest event, when it has one, precedes every overflow event. Slot
+// when&wheelMask lists that cycle's events in ascending key order.
 type Engine struct {
 	domains []Domain
-	heap    []event // four-ary heap: children of i at 4i+1..4i+4
 	now     uint64
 	stats   RunStats
+
+	slots  [horizon]int32       // head node of each cycle's list, 0 if empty
+	occ    [horizon / 64]uint64 // bit s set iff slots[s] != 0
+	nodes  []node               // node pool; nodes[0] is the list terminator
+	free   int32                // head of the free-node list, 0 if empty
+	queued int                  // events in the wheel
+
+	overflow       []event // four-ary heap: children of i at 4i+1..4i+4
+	overflowPushes uint64  // events sent to overflow since the last Run
+	// fired holds the event pop last removed. pop returns a pointer to it:
+	// returning the event by value measured slower, as Run reloaded the
+	// returned copy through the stack.
+	fired event
 
 	// tickers are optional hooks fired once per boundary (multiples of
 	// each slot's period) between events: no event is in flight when one
@@ -162,7 +208,7 @@ func New(numDomains int) *Engine {
 	if numDomains < 1 || numDomains >= 1<<domainBits {
 		panic(fmt.Sprintf("engine: %d domains out of range", numDomains))
 	}
-	e := &Engine{domains: make([]Domain, numDomains)}
+	e := &Engine{domains: make([]Domain, numDomains), nodes: make([]node, 1)}
 	for i := range e.domains {
 		e.domains[i] = Domain{eng: e, id: int32(i)}
 	}
@@ -179,22 +225,103 @@ func (e *Engine) Now() uint64 { return e.now }
 func (e *Engine) Stats() RunStats { return e.stats }
 
 func (e *Engine) push(ev event) {
-	e.heap = append(e.heap, ev)
-	siftUp(e.heap, len(e.heap)-1)
+	if ev.when-e.now >= horizon {
+		e.overflowPushes++
+		e.overflow = append(e.overflow, ev)
+		siftUp(e.overflow, len(e.overflow)-1)
+		return
+	}
+	e.insert(ev)
 }
 
-// pop removes and returns the minimum event. It uses the bottom-up hole
-// sift: walk the hole from the root down the min-child path to a leaf,
-// comparing only siblings, then sift the displaced last element back up.
-// That element was among the latest scheduled, so it usually belongs near
-// a leaf and the up-pass ends after one comparison.
-func (e *Engine) pop() event {
-	h := e.heap
+// insert files an event due before now+horizon into its cycle's slot,
+// behind every queued event of that cycle with a smaller key.
+func (e *Engine) insert(ev event) {
+	n := e.free
+	if n != 0 {
+		e.free = e.nodes[n].next
+	} else {
+		n = int32(len(e.nodes))
+		e.nodes = append(e.nodes, node{})
+	}
+	s := ev.when & wheelMask
+	p := &e.slots[s]
+	for *p != 0 && e.nodes[*p].ev.key < ev.key {
+		p = &e.nodes[*p].next
+	}
+	nd := &e.nodes[n]
+	nd.ev, nd.next = ev, *p
+	*p = n
+	e.occ[s/64] |= 1 << (s % 64)
+	e.queued++
+}
+
+// nextSlot returns the wheel slot of the earliest queued wheel event: the
+// first occupied slot at or after the clock's, wrapping around. The wheel
+// must not be empty.
+func (e *Engine) nextSlot() uint64 {
+	s := e.now & wheelMask
+	w := s / 64
+	if m := e.occ[w] >> (s % 64); m != 0 {
+		return s + uint64(bits.TrailingZeros64(m))
+	}
+	for i := uint64(1); i <= uint64(len(e.occ)); i++ {
+		j := (w + i) % uint64(len(e.occ))
+		if m := e.occ[j]; m != 0 {
+			return j*64 + uint64(bits.TrailingZeros64(m))
+		}
+	}
+	panic("engine: empty wheel")
+}
+
+// peek returns the cycle of the next event. The queue must not be empty.
+func (e *Engine) peek() uint64 {
+	if e.queued == 0 {
+		return e.overflow[0].when
+	}
+	return e.now + (e.nextSlot()-e.now)&wheelMask
+}
+
+// pop removes the next event in canonical order, advances the clock to its
+// cycle, and moves overflow events now within the horizon into the wheel.
+// The clock moves only to a popped cycle, never ahead of the queue: an
+// event scheduled before the next pop (by a ticker, or between Runs) is
+// due no earlier than the clock, so it always finds its slot.
+func (e *Engine) pop() *event {
+	ev := &e.fired
+	if e.queued > 0 {
+		s := e.nextSlot()
+		n := e.slots[s]
+		nd := &e.nodes[n]
+		*ev = nd.ev
+		e.slots[s] = nd.next
+		if nd.next == 0 {
+			e.occ[s/64] &^= 1 << (s % 64)
+		}
+		nd.next = e.free
+		e.free = n
+		e.queued--
+	} else {
+		*ev = e.popOverflow()
+	}
+	e.now = ev.when
+	for len(e.overflow) > 0 && e.overflow[0].when-e.now < horizon {
+		e.insert(e.popOverflow())
+	}
+	return ev
+}
+
+// popOverflow removes and returns the overflow heap's minimum event. It
+// uses the bottom-up hole sift: walk the hole from the root down the
+// min-child path to a leaf, comparing only siblings, then sift the
+// displaced last element back up.
+func (e *Engine) popOverflow() event {
+	h := e.overflow
 	top := h[0]
 	n := len(h) - 1
 	moved := h[n]
 	h = h[:n]
-	e.heap = h
+	e.overflow = h
 	if n == 0 {
 		return top
 	}
@@ -274,9 +401,11 @@ func (e *Engine) Run() uint64 {
 	var events, stamps uint64
 	last := noEvent
 	hasTickers := len(e.tickers) > 0
-	for len(e.heap) > 0 {
+	for e.queued > 0 || len(e.overflow) > 0 {
 		if hasTickers {
-			e.fireTickers(e.heap[0].when)
+			// A ticker may schedule events, possibly earlier than the one
+			// it fired ahead of; pop takes whichever is now first.
+			e.fireTickers(e.peek())
 		}
 		ev := e.pop()
 		if ev.when != last {
@@ -284,9 +413,9 @@ func (e *Engine) Run() uint64 {
 			last = ev.when
 		}
 		events++
-		e.now = ev.when
 		e.domains[ev.dst].sink.OnEvent(ev.kind, ev.a, ev.b)
 	}
-	e.stats = RunStats{Events: events, Timestamps: stamps}
+	e.stats = RunStats{Events: events, Timestamps: stamps, Overflow: e.overflowPushes}
+	e.overflowPushes = 0
 	return e.now
 }

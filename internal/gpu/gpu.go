@@ -24,7 +24,7 @@
 // which fixes every per-bank RNG draw, ECC decision and DRAM queue slot.
 // The simulation hot paths remain allocation-free in the steady state:
 // counter updates go through pre-interned stats handles and events are
-// fixed-size values inside the engine's heap.
+// fixed-size values in the engine's pooled queue.
 package gpu
 
 import (
@@ -1026,9 +1026,10 @@ func (b *bankDomain) read(addr uint64, cu int) {
 // fill lands: the DRAM channel already knows the completion cycle, so the
 // response can be posted for done+1 — the same delivery cycle the fill
 // event would have produced — carrying only the address (the CU's L1 fill
-// is content-free). Timing this early is what gives the bank→CU latency
-// edge its large declared floor, and with it the engine's multi-cycle
-// round coalescing.
+// is content-free). The fill and the response are the model's longest
+// delays, up to a few thousand cycles when the channel queue is deep;
+// they stay within the engine's timing-wheel horizon except in rare
+// queue backlogs.
 func (b *bankDomain) fetch(addr uint64, cu int, from uint64) {
 	lineAddr := addr >> b.sys.lineShift
 	p := b.lineState.ref(lineAddr)
