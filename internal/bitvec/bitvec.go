@@ -156,8 +156,8 @@ func NewVector(n int) *Vector {
 
 // LineVector returns a 512-bit Vector holding a copy of l. A Line and a
 // 512-bit Vector share the same little-endian word layout, so this is one
-// 8-word copy rather than 512 bit inserts — it feeds the ECC codecs on the
-// simulator's hot paths.
+// 8-word copy rather than 512 bit inserts — it feeds the BCH codecs, which
+// decode Vectors.
 func LineVector(l Line) *Vector {
 	v := &Vector{n: LineBits, words: make([]uint64, LineWords)}
 	copy(v.words, l[:])

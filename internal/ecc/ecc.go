@@ -9,6 +9,8 @@ package ecc
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"killi/internal/bitvec"
@@ -96,18 +98,12 @@ func (s secdedCodec) DetectsUpTo() int  { return 2 }
 func (s secdedCodec) Encode(l bitvec.Line) Check {
 	ck := s.c.EncodeLine(l)
 	v := bitvec.NewVector(s.c.CheckBits() - 1)
-	for j := 0; j < v.Len(); j++ {
-		v.SetBit(j, uint(ck.Bits>>uint(j))&1)
-	}
+	v.Words()[0] = uint64(ck.Bits)
 	return Check{bits: v, global: ck.Global}
 }
 
 func (s secdedCodec) Decode(l *bitvec.Line, c Check) Outcome {
-	var ck secded.Check
-	for j := 0; j < c.bits.Len(); j++ {
-		ck.Bits |= uint32(c.bits.Bit(j)) << uint(j)
-	}
-	ck.Global = c.global
+	ck := secded.Check{Bits: uint32(c.bits.Words()[0]), Global: c.global}
 	res := s.c.DecodeLine(l, ck)
 	switch res.Status {
 	case secded.OK:
@@ -134,13 +130,13 @@ func (b bchCodec) CorrectsUpTo() int { return b.c.T() }
 func (b bchCodec) DetectsUpTo() int  { return b.c.T() + 1 }
 
 func (b bchCodec) Encode(l bitvec.Line) Check {
-	data := lineToVector(l)
+	data := bitvec.LineVector(l)
 	ck := b.c.Encode(data)
 	return Check{bits: ck.Bits, global: ck.Global}
 }
 
 func (b bchCodec) Decode(l *bitvec.Line, c Check) Outcome {
-	data := lineToVector(*l)
+	data := bitvec.LineVector(*l)
 	res := b.c.Decode(data, bch.Check{Bits: c.bits, Global: c.global})
 	switch res.Status {
 	case bch.OK:
@@ -168,46 +164,34 @@ func (o olscCodec) CorrectsUpTo() int { return o.c.T() }
 func (o olscCodec) DetectsUpTo() int  { return o.c.T() }
 
 func (o olscCodec) Encode(l bitvec.Line) Check {
-	return Check{bits: o.c.Encode(lineToVector(l))}
+	return Check{bits: o.c.EncodeLine(l)}
 }
 
 func (o olscCodec) Decode(l *bitvec.Line, c Check) Outcome {
-	data := lineToVector(*l)
-	res := o.c.Decode(data, c.bits)
+	res := o.c.DecodeLine(l, c.bits)
 	switch res.Status {
 	case olsc.OK:
 		return Outcome{Status: OK}
 	case olsc.Corrected:
-		for _, bit := range res.DataBitsFlipped {
-			l.FlipBit(bit)
-		}
-		return Outcome{Status: Corrected, DataBitsCorrected: len(res.DataBitsFlipped)}
+		return Outcome{Status: Corrected, DataBitsCorrected: res.DataBitsCorrected}
 	default:
 		return Outcome{Status: Detected}
 	}
 }
 
-func lineToVector(l bitvec.Line) *bitvec.Vector {
-	return bitvec.LineVector(l)
-}
-
-// Cached singleton codecs: construction (especially BCH generator
-// synthesis) is not free, and the codes are immutable.
+// Every codec is one immutable instance per process, shared by all
+// schemes and goroutines: construction (especially BCH generator
+// synthesis) is not free, and no codec holds scratch state.
 var (
-	secdedOnce sync.Once
-	secdedInst Codec
-	bchOnce    = map[int]*sync.Once{2: {}, 3: {}, 6: {}}
-	bchInst    = map[int]Codec{}
+	secdedInst = sync.OnceValue(func() Codec { return secdedCodec{secded.Line()} })
 	bchMu      sync.Mutex
+	bchInst    = map[int]Codec{}
 	olscMu     sync.Mutex
-	olscInst   = map[int]Codec{}
+	olscInst   [olsc.MaxStrength + 1]Codec
 )
 
 // SECDED returns the 11-checkbit SECDED codec for 64-byte lines.
-func SECDED() Codec {
-	secdedOnce.Do(func() { secdedInst = secdedCodec{secded.New(bitvec.LineBits)} })
-	return secdedInst
-}
+func SECDED() Codec { return secdedInst() }
 
 // DECTED returns the 21-checkbit double-error-correcting codec.
 func DECTED() Codec { return bchByT("dected", 2) }
@@ -230,20 +214,23 @@ func bchByT(name string, t int) Codec {
 }
 
 // OLSC returns an Orthogonal-Latin-Square codec correcting t errors per
-// line (t=11 is the MS-ECC configuration).
+// line (t=11 is the MS-ECC configuration). It panics unless
+// 1 ≤ t ≤ olsc.MaxStrength.
 func OLSC(t int) Codec {
+	if t < 1 || t > olsc.MaxStrength {
+		panic(fmt.Sprintf("ecc: OLSC strength %d outside 1..%d", t, olsc.MaxStrength))
+	}
 	olscMu.Lock()
 	defer olscMu.Unlock()
-	if c, ok := olscInst[t]; ok {
-		return c
+	if olscInst[t] == nil {
+		olscInst[t] = olscCodec{name: fmt.Sprintf("olsc-%d", t), c: olsc.NewLine(t)}
 	}
-	c := olscCodec{name: fmt.Sprintf("olsc-%d", t), c: olsc.NewLine(t)}
-	olscInst[t] = c
-	return c
+	return olscInst[t]
 }
 
 // ByName resolves a codec by its Name. Recognized: "secded", "dected",
-// "tecqed", "6ec7ed", and "olsc-<t>".
+// "tecqed", "6ec7ed", and "olsc-<t>" for 1 ≤ t ≤ olsc.MaxStrength, written
+// canonically (no sign, leading zeros or trailing bytes).
 func ByName(name string) (Codec, error) {
 	switch name {
 	case "secded":
@@ -255,9 +242,12 @@ func ByName(name string) (Codec, error) {
 	case "6ec7ed":
 		return SixEC7ED(), nil
 	}
-	var t int
-	if _, err := fmt.Sscanf(name, "olsc-%d", &t); err == nil && t > 0 {
-		return OLSC(t), nil
+	if digits, ok := strings.CutPrefix(name, "olsc-"); ok {
+		if t, err := strconv.Atoi(digits); err == nil && t >= 1 && t <= olsc.MaxStrength {
+			if c := OLSC(t); c.Name() == name {
+				return c, nil
+			}
+		}
 	}
 	return nil, fmt.Errorf("ecc: unknown codec %q", name)
 }

@@ -1,9 +1,11 @@
 package ecc
 
 import (
+	"sync"
 	"testing"
 
 	"killi/internal/bitvec"
+	"killi/internal/ecc/olsc"
 	"killi/internal/xrand"
 )
 
@@ -122,6 +124,133 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("olsc-0"); err == nil {
 		t.Fatal("olsc-0 did not error")
+	}
+}
+
+// TestByNameIsStrict accepts only canonical names: the input must be
+// exactly the resolved codec's Name, and OLSC strengths are bounded.
+func TestByNameIsStrict(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"olsc-1", true},
+		{"olsc-11", true},
+		{"olsc-31", true},
+		{"olsc-32", false},
+		{"olsc-100000", false},
+		{"olsc-11x", false},
+		{"olsc-+11", false},
+		{"olsc- 11", false},
+		{"olsc-011", false},
+		{"olsc--11", false},
+		{"olsc-", false},
+		{"olsc11", false},
+		{"OLSC-11", false},
+		{"secded ", false},
+		{" dected", false},
+		{"", false},
+	} {
+		codec, err := ByName(c.name)
+		if (err == nil) != c.ok {
+			t.Errorf("ByName(%q): err = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if err == nil && codec.Name() != c.name {
+			t.Errorf("ByName(%q) resolved %q", c.name, codec.Name())
+		}
+	}
+}
+
+func TestOLSCStrengthBound(t *testing.T) {
+	for _, tt := range []int{0, olsc.MaxStrength + 1, 100000} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("OLSC(%d) did not panic", tt)
+				}
+			}()
+			OLSC(tt)
+		}()
+	}
+}
+
+// TestBCHCorrectsRandomPatternsWithinStrength checks the BCH codes'
+// promise on random patterns of every weight up to t.
+func TestBCHCorrectsRandomPatternsWithinStrength(t *testing.T) {
+	r := xrand.New(5)
+	for _, c := range []Codec{DECTED(), TECQED()} {
+		for trial := 0; trial < 200; trial++ {
+			l := randomLine(r)
+			check := c.Encode(l)
+			bad := l
+			e := 1 + r.Intn(c.CorrectsUpTo())
+			for _, b := range r.Sample(bitvec.LineBits, e) {
+				bad.FlipBit(b)
+			}
+			if out := c.Decode(&bad, check); out.Status != Corrected || bad != l || out.DataBitsCorrected != e {
+				t.Fatalf("%s: %d errors gave %+v, restored=%v", c.Name(), e, out, bad == l)
+			}
+		}
+	}
+}
+
+// TestSharedCodecsConcurrent drives the shared codec instances from many
+// goroutines at once and compares every outcome with a serial run. Under
+// the race detector this fails if a shared codec ever holds scratch
+// state.
+func TestSharedCodecsConcurrent(t *testing.T) {
+	codecs := []Codec{SECDED(), OLSC(11), DECTED()}
+	type job struct {
+		codec int
+		line  bitvec.Line
+		flips []int
+	}
+	type result struct {
+		out  Outcome
+		line bitvec.Line
+	}
+	r := xrand.New(6)
+	var jobs []job
+	for i := 0; i < 60; i++ {
+		c := i % len(codecs)
+		jobs = append(jobs, job{c, randomLine(r), r.Sample(bitvec.LineBits, r.Intn(codecs[c].CorrectsUpTo()+2))})
+	}
+	run := func(j job) result {
+		c := codecs[j.codec]
+		check := c.Encode(j.line)
+		l := j.line
+		for _, b := range j.flips {
+			l.FlipBit(b)
+		}
+		return result{c.Decode(&l, check), l}
+	}
+	want := make([]result, len(jobs))
+	for i, j := range jobs {
+		want[i] = run(j)
+	}
+	const workers = 8
+	got := make([][]result, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = make([]result, len(jobs))
+			// Each worker walks the jobs from a different start so that
+			// different codecs run concurrently.
+			for n := range jobs {
+				i := (n + w*7) % len(jobs)
+				got[w][i] = run(jobs[i])
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for i := range jobs {
+			if got[w][i] != want[i] {
+				t.Fatalf("worker %d job %d (%s): %+v, serial %+v", w, i, codecs[jobs[i].codec].Name(), got[w][i].out, want[i].out)
+			}
+		}
 	}
 }
 

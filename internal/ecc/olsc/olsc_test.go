@@ -1,6 +1,7 @@
 package olsc
 
 import (
+	"sync"
 	"testing"
 
 	"killi/internal/bitvec"
@@ -30,7 +31,7 @@ func TestMSECCConfiguration(t *testing.T) {
 func TestOrthogonality(t *testing.T) {
 	// Any two groups from different families must share at most one data
 	// bit — the property that makes one-step majority decoding sound.
-	c := New(512, 4)
+	c := newRef(512, 4)
 	for f1 := range c.groups {
 		for f2 := f1 + 1; f2 < len(c.groups); f2++ {
 			for _, g1 := range c.groups[f1] {
@@ -55,7 +56,7 @@ func TestOrthogonality(t *testing.T) {
 }
 
 func TestEachBitHas2TGroups(t *testing.T) {
-	c := New(512, 11)
+	c := newRef(512, 11)
 	for idx, groups := range c.bitGroups {
 		if len(groups) != 2*c.t {
 			t.Fatalf("bit %d covered by %d groups, want %d", idx, len(groups), 2*c.t)
@@ -213,16 +214,245 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
+// Benchmark results land in package-level sinks so the compiler cannot
+// drop the measured call.
+var (
+	resultSink Result
+	checkSink  *bitvec.Vector
+)
+
 func BenchmarkDecodeMSECC(b *testing.B) {
 	c := NewLine(11)
-	r := xrand.New(6)
-	data := randomVector(r, 512)
-	check := c.Encode(data)
+	data := randomLine(xrand.New(6))
+	check := c.EncodeLine(data)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d := data.Clone()
+		d := data
 		d.FlipBit(17)
 		d.FlipBit(300)
-		_ = c.Decode(d, check)
+		resultSink = c.DecodeLine(&d, check)
 	}
+}
+
+func BenchmarkEncodeMSECC(b *testing.B) {
+	c := NewLine(11)
+	data := randomLine(xrand.New(7))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		checkSink = c.EncodeLine(data)
+	}
+}
+
+func randomLine(r *xrand.Rand) bitvec.Line {
+	var l bitvec.Line
+	for w := range l {
+		l[w] = r.Uint64()
+	}
+	return l
+}
+
+// refs caches one oracle per strength: building the group masks of a
+// strong code costs far more than one decode.
+var refs struct {
+	sync.Mutex
+	byT map[int]*refCode
+}
+
+func lineRef(t int) *refCode {
+	refs.Lock()
+	defer refs.Unlock()
+	if refs.byT == nil {
+		refs.byT = map[int]*refCode{}
+	}
+	if refs.byT[t] == nil {
+		refs.byT[t] = newRef(bitvec.LineBits, t)
+	}
+	return refs.byT[t]
+}
+
+// checkAgainstRef decodes data under a possibly corrupted check with the
+// row kernel and with the group-mask oracle, and fails on any difference
+// in status, residual check-group count, flip count or resulting data.
+func checkAgainstRef(t *testing.T, c *Code, ref *refCode, data bitvec.Line, check *bitvec.Vector) Result {
+	t.Helper()
+	refData := bitvec.LineVector(data)
+	want := ref.Decode(refData, check.Clone())
+	got := data
+	res := c.DecodeLine(&got, check)
+	if res.Status != want.Status || res.CheckGroupErrors != want.CheckGroupErrors ||
+		res.DataBitsCorrected != len(want.DataBitsFlipped) {
+		t.Fatalf("t=%d: kernel %+v, reference %+v", c.T(), res, want)
+	}
+	// The kernel applies its flips only to a Corrected line; the oracle
+	// always applies them.
+	wantData := data
+	if want.Status == Corrected {
+		copy(wantData[:], refData.Words())
+	}
+	if got != wantData {
+		t.Fatalf("t=%d %v: kernel data differs from the reference", c.T(), res.Status)
+	}
+	return res
+}
+
+// TestEncodeMatchesReference pins the row kernel's checkbits to the
+// group-mask oracle's, bit for bit, including shortened and tiny grids.
+func TestEncodeMatchesReference(t *testing.T) {
+	r := xrand.New(8)
+	for _, kt := range [][2]int{{9, 1}, {500, 3}, {512, 1}, {512, 2}, {512, 11}, {512, 17}, {512, 31}, {1000, 5}} {
+		k, tt := kt[0], kt[1]
+		c, ref := New(k, tt), newRef(k, tt)
+		for trial := 0; trial < 20; trial++ {
+			data := randomVector(r, k)
+			if got, want := c.Encode(data), ref.Encode(data); !got.Equal(want) {
+				t.Fatalf("k=%d t=%d: kernel checkbits differ from the reference", k, tt)
+			}
+		}
+	}
+}
+
+// TestDecodeMatchesReference runs the kernel and the oracle over random
+// data- and checkbit-flip patterns of up to 3t errors at every strength.
+func TestDecodeMatchesReference(t *testing.T) {
+	r := xrand.New(9)
+	trials := 40
+	if testing.Short() {
+		trials = 10
+	}
+	for tt := 1; tt <= MaxStrength; tt++ {
+		c, ref := NewLine(tt), lineRef(tt)
+		for trial := 0; trial < trials; trial++ {
+			orig := randomLine(r)
+			check := c.EncodeLine(orig)
+			data := orig
+			n := r.Intn(3*tt + 1)
+			for _, b := range r.Sample(bitvec.LineBits+check.Len(), n) {
+				if b < bitvec.LineBits {
+					data.FlipBit(b)
+				} else {
+					check.FlipBit(b - bitvec.LineBits)
+				}
+			}
+			checkAgainstRef(t, c, ref, data, check)
+		}
+	}
+}
+
+// TestCorrectsEveryRandomPatternWithinStrength is the code's promise: any
+// pattern of at most t data-bit errors decodes as Corrected, with exactly
+// those bits flipped back.
+func TestCorrectsEveryRandomPatternWithinStrength(t *testing.T) {
+	r := xrand.New(10)
+	trials := 300
+	if testing.Short() {
+		trials = 60
+	}
+	for _, tt := range []int{1, 11, 31} {
+		c := NewLine(tt)
+		for trial := 0; trial < trials; trial++ {
+			orig := randomLine(r)
+			check := c.EncodeLine(orig)
+			data := orig
+			e := 1 + r.Intn(tt)
+			for _, b := range r.Sample(bitvec.LineBits, e) {
+				data.FlipBit(b)
+			}
+			res := c.DecodeLine(&data, check)
+			if res.Status != Corrected || data != orig || res.DataBitsCorrected != e || res.CheckGroupErrors != 0 {
+				t.Fatalf("t=%d e=%d: %+v, restored=%v", tt, e, res, data == orig)
+			}
+		}
+	}
+}
+
+// TestDetectedLeavesDataUnchanged pins the in-place contract: a line the
+// code cannot correct comes back exactly as it went in.
+func TestDetectedLeavesDataUnchanged(t *testing.T) {
+	c := NewLine(4)
+	r := xrand.New(11)
+	seen := 0
+	for trial := 0; trial < 50; trial++ {
+		orig := randomLine(r)
+		check := c.EncodeLine(orig)
+		bad := orig
+		for _, b := range r.Sample(bitvec.LineBits, 40) {
+			bad.FlipBit(b)
+		}
+		data := bad
+		if res := c.DecodeLine(&data, check); res.Status == DetectedUncorrectable {
+			seen++
+			if data != bad {
+				t.Fatal("DetectedUncorrectable modified the line")
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no detected-uncorrectable pattern exercised")
+	}
+}
+
+func TestLineDecodeAllocFree(t *testing.T) {
+	c := NewLine(11)
+	orig := randomLine(xrand.New(12))
+	check := c.EncodeLine(orig)
+	for name, flips := range map[string][]int{"clean": nil, "corrected": {3, 200, 511}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			data := orig
+			for _, b := range flips {
+				data.FlipBit(b)
+			}
+			c.DecodeLine(&data, check)
+		})
+		if allocs != 0 {
+			t.Errorf("%s DecodeLine: %v allocs, want 0", name, allocs)
+		}
+	}
+}
+
+func TestStrengthBound(t *testing.T) {
+	if c := NewLine(MaxStrength); c.M() != 61 || c.CheckBits() != 2*31*61 {
+		t.Fatalf("t=31: m=%d check=%d, want 61 and 3782", c.M(), c.CheckBits())
+	}
+	for name, fn := range map[string]func(){
+		"t=32":     func() { NewLine(MaxStrength + 1) },
+		"t=100000": func() { NewLine(100000) },
+		"wide k":   func() { New(5000, 1) },
+		"line k":   func() { New(9, 1).EncodeLine(bitvec.Line{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// FuzzOLSCMatchesReference decodes fuzzer-chosen data under fuzzer-chosen
+// data and checkbit flips (up to 3t of them) with the row kernel and the
+// group-mask oracle, at every strength 1..MaxStrength.
+func FuzzOLSCMatchesReference(f *testing.F) {
+	f.Add(uint8(11), uint64(1), []byte{0, 17, 1, 44})
+	f.Add(uint8(1), uint64(2), []byte{})
+	f.Add(uint8(31), uint64(3), []byte{2, 0, 2, 1, 9, 9, 0, 1, 0, 2, 0, 3})
+	f.Add(uint8(4), uint64(4), []byte{0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 1, 250})
+	f.Fuzz(func(t *testing.T, strength uint8, seed uint64, flips []byte) {
+		tt := int(strength)%MaxStrength + 1
+		c := NewLine(tt)
+		orig := randomLine(xrand.New(seed))
+		check := c.EncodeLine(orig)
+		data := orig
+		width := bitvec.LineBits + check.Len()
+		for n := 0; n+1 < len(flips) && n/2 < 3*tt; n += 2 {
+			b := (int(flips[n])<<8 | int(flips[n+1])) % width
+			if b < bitvec.LineBits {
+				data.FlipBit(b)
+			} else {
+				check.FlipBit(b - bitvec.LineBits)
+			}
+		}
+		checkAgainstRef(t, c, lineRef(tt), data, check)
+	})
 }

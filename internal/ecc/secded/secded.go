@@ -13,9 +13,9 @@
 package secded
 
 import (
-	"math/bits"
-
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"killi/internal/bitvec"
 )
@@ -65,54 +65,88 @@ type Result struct {
 	GlobalParityError bool
 }
 
-// Code is a SECDED code for a fixed number of data bits. The zero value is
-// unusable; construct with New.
+// Code is a SECDED code for a fixed number of data bits. A Code is
+// immutable and safe for concurrent use. The zero value is unusable;
+// construct with New, or use the shared line code from Line.
 type Code struct {
-	k        int   // data bits
-	hamming  int   // Hamming checkbits (excluding global parity)
-	dataPos  []int // codeword position (1-based) of each data bit
-	checkPos []int // codeword position of each Hamming checkbit (powers of two)
-	posData  map[int]int
-	// colMask[j] marks, word-parallel over a 512-bit line, the data bits
-	// participating in Hamming check j: checkbit j is the XOR-parity of
-	// data & colMask[j]. Only built for 512-bit codes (the fast path).
-	colMask [][bitvec.LineWords]uint64
+	k       int   // data bits
+	hamming int   // Hamming checkbits (excluding global parity)
+	dataPos []int // codeword position (1-based) of each data bit
+	// posData[pos] is the data-bit index at codeword position pos, or -1
+	// for a checkbit position.
+	posData []int32
+	// lanes is the shared byte-lane table of the 512-bit code (nil for
+	// other widths); see lineLanes.
+	lanes *laneTable
 }
+
+// laneTable maps each of a line's 64 bytes (its lane) and each byte value
+// to the XOR of the codeword positions of the value's set bits, with the
+// byte's parity in bit 15. Because the Hamming checkbits of a word are the
+// XOR of the positions of its set data bits, XORing one entry per lane
+// yields every checkbit at once in the low bits and the data parity in
+// bit 15: 64 lookups in a 32 KiB table instead of a popcount per
+// checkbit.
+type laneTable [bitvec.LineBits / 8][256]uint16
+
+// laneParity is the bit of a laneTable entry holding the data parity.
+const laneParity = 1 << 15
+
+// lineLanes is built once per process, on first use of a 512-bit code.
+var lineLanes = sync.OnceValue(func() *laneTable {
+	var t laneTable
+	_, pos := layout(bitvec.LineBits)
+	for lane := range t {
+		for v := 1; v < 256; v++ {
+			low := bits.TrailingZeros(uint(v))
+			t[lane][v] = t[lane][v&(v-1)] ^ uint16(pos[lane*8+low]) ^ laneParity
+		}
+	}
+	return &t
+})
+
+// line is the shared 512-bit code returned by Line.
+var line = sync.OnceValue(func() *Code { return New(bitvec.LineBits) })
+
+// Line returns the shared SECDED code over a 512-bit cache line (the
+// paper's 11-checkbit configuration), built once per process.
+func Line() *Code { return line() }
 
 // New returns a SECDED code over k data bits. It panics if k <= 0.
 func New(k int) *Code {
 	if k <= 0 {
 		panic("secded: data width must be positive")
 	}
-	// Smallest r with 2^r >= k + r + 1.
-	r := 1
+	r, dataPos := layout(k)
+	c := &Code{k: k, hamming: r, dataPos: dataPos}
+	c.posData = make([]int32, dataPos[k-1]+1)
+	for pos := range c.posData {
+		c.posData[pos] = -1
+	}
+	for i, pos := range dataPos {
+		c.posData[pos] = int32(i)
+	}
+	if k == bitvec.LineBits {
+		c.lanes = lineLanes()
+	}
+	return c
+}
+
+// layout returns the Hamming checkbit count r of a k-bit code — the
+// smallest r with 2^r >= k + r + 1 — and each data bit's codeword position:
+// the 1-based positions that are not powers of two, in order.
+func layout(k int) (r int, dataPos []int) {
+	r = 1
 	for (1 << uint(r)) < k+r+1 {
 		r++
 	}
-	c := &Code{k: k, hamming: r, posData: make(map[int]int, k)}
-	c.checkPos = make([]int, r)
-	for j := 0; j < r; j++ {
-		c.checkPos[j] = 1 << uint(j)
-	}
-	c.dataPos = make([]int, 0, k)
-	for pos := 1; len(c.dataPos) < k; pos++ {
-		if pos&(pos-1) == 0 { // power of two: checkbit slot
-			continue
-		}
-		c.posData[pos] = len(c.dataPos)
-		c.dataPos = append(c.dataPos, pos)
-	}
-	if k == bitvec.LineBits {
-		c.colMask = make([][bitvec.LineWords]uint64, r)
-		for i, pos := range c.dataPos {
-			for j := 0; j < r; j++ {
-				if pos&(1<<uint(j)) != 0 {
-					c.colMask[j][i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
+	dataPos = make([]int, 0, k)
+	for pos := 1; len(dataPos) < k; pos++ {
+		if pos&(pos-1) != 0 { // not a power of two: a data slot
+			dataPos = append(dataPos, pos)
 		}
 	}
-	return c
+	return r, dataPos
 }
 
 // DataBits returns the number of data bits the code protects.
@@ -139,49 +173,48 @@ func (c *Code) Encode(data *bitvec.Vector) Check {
 	if data.Len() != c.k {
 		panic(fmt.Sprintf("secded: Encode data width %d, want %d", data.Len(), c.k))
 	}
-	var check Check
+	// Checkbit j is the parity of the data bits whose position has bit j
+	// set, so the checkbits are the XOR of the set bits' positions.
+	var pos uint32
 	ones := 0
-	for i := 0; i < c.k; i++ {
-		if data.Bit(i) == 0 {
-			continue
-		}
-		ones++
-		pos := c.dataPos[i]
-		for j := 0; j < c.hamming; j++ {
-			if pos&(1<<uint(j)) != 0 {
-				check.Bits ^= 1 << uint(j)
-			}
+	for w, word := range data.Words() {
+		ones += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			pos ^= uint32(c.dataPos[w*64+bits.TrailingZeros64(word)])
 		}
 	}
-	// Global parity covers data bits and Hamming checkbits, so that the
-	// total codeword (including the global bit itself) has even parity.
-	g := uint(ones) & 1
-	for j := 0; j < c.hamming; j++ {
-		g ^= uint(check.Bits>>uint(j)) & 1
-	}
-	check.Global = g
-	return check
+	return withGlobal(pos, uint(ones))
 }
 
-// EncodeLine is a convenience for 512-bit codes that encodes a cache line
-// using word-parallel column masks. It panics if the code is not 512 bits
-// wide.
+// withGlobal completes a check from its Hamming bits and the data parity:
+// the global bit makes the whole codeword — data, Hamming checkbits and
+// the global bit itself — even.
+func withGlobal(hamming uint32, dataParity uint) Check {
+	return Check{Bits: hamming, Global: (dataParity ^ uint(bits.OnesCount32(hamming))) & 1}
+}
+
+// lineXor XORs l's lane-table entries: the Hamming checkbits of l in the
+// low bits and its data parity in laneParity. It panics if the code is not
+// 512 bits wide.
+func (c *Code) lineXor(l *bitvec.Line) uint16 {
+	t := c.lanes
+	if t == nil {
+		panic("secded: line codec call on a non-512-bit code")
+	}
+	var acc uint16
+	for w, x := range l {
+		lane := t[w*8 : w*8+8 : w*8+8]
+		acc ^= lane[0][uint8(x)] ^ lane[1][uint8(x>>8)] ^ lane[2][uint8(x>>16)] ^ lane[3][uint8(x>>24)] ^
+			lane[4][uint8(x>>32)] ^ lane[5][uint8(x>>40)] ^ lane[6][uint8(x>>48)] ^ lane[7][uint8(x>>56)]
+	}
+	return acc
+}
+
+// EncodeLine is Encode for the 512-bit code, on a cache line. It panics if
+// the code is not 512 bits wide.
 func (c *Code) EncodeLine(l bitvec.Line) Check {
-	if c.k != bitvec.LineBits {
-		panic("secded: EncodeLine on non-512-bit code")
-	}
-	var check Check
-	for j := 0; j < c.hamming; j++ {
-		ones := 0
-		for w := 0; w < bitvec.LineWords; w++ {
-			ones += bits.OnesCount64(l[w] & c.colMask[j][w])
-		}
-		check.Bits |= uint32(ones&1) << uint(j)
-	}
-	g := uint(l.PopCount()) & 1
-	g ^= uint(bits.OnesCount32(check.Bits)) & 1
-	check.Global = g
-	return check
+	acc := c.lineXor(&l)
+	return withGlobal(uint32(acc&^laneParity), uint(acc>>15))
 }
 
 // Syndrome returns the raw Hamming syndrome (recomputed data parities XOR
@@ -195,24 +228,20 @@ func (c *Code) EncodeLine(l bitvec.Line) Check {
 // checkbit flips it induces.
 func (c *Code) Syndrome(data *bitvec.Vector, stored Check) (syndrome uint32, globalErr bool) {
 	fresh := c.Encode(data)
-	syndrome = fresh.Bits ^ stored.Bits
-	globalErr = c.receivedParityOdd(data.PopCount(), stored)
-	return syndrome, globalErr
+	return fresh.Bits ^ stored.Bits, receivedParityOdd(uint(data.PopCount()), stored)
 }
 
 // SyndromeLine is Syndrome for 512-bit codes operating on a cache line.
 func (c *Code) SyndromeLine(l bitvec.Line, stored Check) (syndrome uint32, globalErr bool) {
-	fresh := c.EncodeLine(l)
-	return fresh.Bits ^ stored.Bits, c.receivedParityOdd(l.PopCount(), stored)
+	acc := c.lineXor(&l)
+	return uint32(acc&^laneParity) ^ stored.Bits, receivedParityOdd(uint(acc>>15), stored)
 }
 
-// receivedParityOdd reports whether the received codeword (dataOnes data
-// ones plus the stored checkbits and global bit) has odd parity.
-func (c *Code) receivedParityOdd(dataOnes int, stored Check) bool {
-	p := uint(dataOnes) & 1
-	p ^= uint(bits.OnesCount32(stored.Bits)) & 1
-	p ^= stored.Global & 1
-	return p == 1
+// receivedParityOdd reports whether the received codeword (data bits of
+// the given parity plus the stored checkbits and global bit) has odd
+// parity.
+func receivedParityOdd(dataParity uint, stored Check) bool {
+	return (dataParity^uint(bits.OnesCount32(stored.Bits))^stored.Global)&1 == 1
 }
 
 // Decode checks data against the stored checkbits, correcting data in place
@@ -225,7 +254,25 @@ func (c *Code) receivedParityOdd(dataOnes int, stored Check) bool {
 //	syndrome != 0, global ok   → double error; detected, uncorrectable
 //	syndrome == 0, global bad  → error in the global parity bit itself
 func (c *Code) Decode(data *bitvec.Vector, stored Check) Result {
-	syndrome, globalErr := c.Syndrome(data, stored)
+	res := c.classify(c.Syndrome(data, stored))
+	if res.Status == CorrectedData {
+		data.FlipBit(res.BitFlipped)
+	}
+	return res
+}
+
+// DecodeLine is Decode for 512-bit codes operating on a cache line. It
+// does not allocate.
+func (c *Code) DecodeLine(l *bitvec.Line, stored Check) Result {
+	res := c.classify(c.SyndromeLine(*l, stored))
+	if res.Status == CorrectedData {
+		l.FlipBit(res.BitFlipped)
+	}
+	return res
+}
+
+// classify maps a syndrome and global parity error to a decode verdict.
+func (c *Code) classify(syndrome uint32, globalErr bool) Result {
 	res := Result{BitFlipped: -1, Syndrome: syndrome, GlobalParityError: globalErr}
 	switch {
 	case syndrome == 0 && !globalErr:
@@ -235,44 +282,18 @@ func (c *Code) Decode(data *bitvec.Vector, stored Check) Result {
 		res.Status = CorrectedCheck
 	case syndrome != 0 && globalErr:
 		pos := int(syndrome)
-		if idx, isData := c.posData[pos]; isData {
-			data.FlipBit(idx)
+		switch {
+		case pos < len(c.posData) && c.posData[pos] >= 0:
 			res.Status = CorrectedData
-			res.BitFlipped = idx
-		} else if pos&(pos-1) == 0 && pos < 1<<uint(c.hamming) {
+			res.BitFlipped = int(c.posData[pos])
+		case pos&(pos-1) == 0 && pos < 1<<uint(c.hamming):
 			// A stored Hamming checkbit flipped.
 			res.Status = CorrectedCheck
-		} else {
+		default:
 			// Syndrome points outside the codeword: ≥3 errors aliasing.
 			res.Status = DetectedUncorrectable
 		}
 	default: // syndrome != 0 && !globalErr
-		res.Status = DetectedUncorrectable
-	}
-	return res
-}
-
-// DecodeLine is Decode for 512-bit codes operating on a cache line.
-func (c *Code) DecodeLine(l *bitvec.Line, stored Check) Result {
-	syndrome, globalErr := c.SyndromeLine(*l, stored)
-	res := Result{BitFlipped: -1, Syndrome: syndrome, GlobalParityError: globalErr}
-	switch {
-	case syndrome == 0 && !globalErr:
-		res.Status = OK
-	case syndrome == 0 && globalErr:
-		res.Status = CorrectedCheck
-	case syndrome != 0 && globalErr:
-		pos := int(syndrome)
-		if idx, isData := c.posData[pos]; isData {
-			l.FlipBit(idx)
-			res.Status = CorrectedData
-			res.BitFlipped = idx
-		} else if pos&(pos-1) == 0 && pos < 1<<uint(c.hamming) {
-			res.Status = CorrectedCheck
-		} else {
-			res.Status = DetectedUncorrectable
-		}
-	default:
 		res.Status = DetectedUncorrectable
 	}
 	return res

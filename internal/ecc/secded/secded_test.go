@@ -282,23 +282,30 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
+// Benchmark results land in package-level sinks so the compiler cannot
+// drop the measured call.
+var (
+	checkSink  Check
+	resultSink Result
+)
+
 func BenchmarkEncodeLine(b *testing.B) {
-	c := New(512)
+	c := Line()
 	l := randomLine(xrand.New(11))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = c.EncodeLine(l)
+		checkSink = c.EncodeLine(l)
 	}
 }
 
 func BenchmarkDecodeLineClean(b *testing.B) {
-	c := New(512)
+	c := Line()
 	l := randomLine(xrand.New(12))
 	check := c.EncodeLine(l)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ll := l
-		_ = c.DecodeLine(&ll, check)
+		resultSink = c.DecodeLine(&ll, check)
 	}
 }
 
@@ -336,4 +343,110 @@ func TestQuickSyndromeLinearity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// flipCodeword flips bit i of the 523-bit codeword laid out as the 512
+// data bits, then the 10 Hamming checkbits, then the global parity bit.
+func flipCodeword(l *bitvec.Line, ck *Check, i int) {
+	switch {
+	case i < bitvec.LineBits:
+		l.FlipBit(i)
+	case i < bitvec.LineBits+10:
+		ck.Bits ^= 1 << uint(i-bitvec.LineBits)
+	default:
+		ck.Global ^= 1
+	}
+}
+
+// TestDecodeLineEverySingleAndDoubleError sweeps the whole error space
+// SECDED promises something about: each of the 523 single-bit errors is
+// corrected, and each of the 136,503 double-bit pairs is reported as
+// DetectedUncorrectable with the data left untouched.
+func TestDecodeLineEverySingleAndDoubleError(t *testing.T) {
+	c := Line()
+	width := c.CodewordBits()
+	orig := randomLine(xrand.New(13))
+	check := c.EncodeLine(orig)
+	for i := 0; i < width; i++ {
+		l, ck := orig, check
+		flipCodeword(&l, &ck, i)
+		res := c.DecodeLine(&l, ck)
+		if l != orig || (res.Status != CorrectedData && res.Status != CorrectedCheck) {
+			t.Fatalf("single error at %d: %+v", i, res)
+		}
+		if i < bitvec.LineBits && (res.Status != CorrectedData || res.BitFlipped != i) {
+			t.Fatalf("data error at %d: %+v", i, res)
+		}
+	}
+	pairs := 0
+	for i := 0; i < width; i++ {
+		for j := i + 1; j < width; j++ {
+			l, ck := orig, check
+			flipCodeword(&l, &ck, i)
+			flipCodeword(&l, &ck, j)
+			bad := l
+			if res := c.DecodeLine(&l, ck); res.Status != DetectedUncorrectable || l != bad {
+				t.Fatalf("double error at %d,%d: %+v", i, j, res)
+			}
+			pairs++
+		}
+	}
+	if pairs != 136503 {
+		t.Fatalf("swept %d pairs, want 136503", pairs)
+	}
+}
+
+func TestLineKernelAllocFree(t *testing.T) {
+	c := Line()
+	orig := randomLine(xrand.New(14))
+	check := c.EncodeLine(orig)
+	for name, fn := range map[string]func(){
+		"encode":           func() { c.EncodeLine(orig) },
+		"decode clean":     func() { l := orig; c.DecodeLine(&l, check) },
+		"decode corrected": func() { l := orig; l.FlipBit(77); c.DecodeLine(&l, check) },
+	} {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s: %v allocs, want 0", name, allocs)
+		}
+	}
+}
+
+func TestLineIsShared(t *testing.T) {
+	if Line() != Line() || Line().lanes != New(512).lanes {
+		t.Fatal("the line code or its lane table is rebuilt")
+	}
+	if New(64).lanes != nil {
+		t.Fatal("a 64-bit code got the line's lane table")
+	}
+}
+
+// FuzzSECDEDLineMatchesReference checks the byte-lane kernel against the
+// column-mask oracle on fuzzer-chosen lines and codeword flips: equal
+// checkbits, syndromes, verdicts and corrected data.
+func FuzzSECDEDLineMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint64(2), []byte{0, 17})
+	f.Add(uint64(0), uint64(0), []byte{})
+	f.Add(^uint64(0), uint64(3), []byte{2, 0, 2, 10})
+	f.Add(uint64(5), uint64(6), []byte{1, 1, 0, 9, 1, 200})
+	ref := newRefLine()
+	c := Line()
+	f.Fuzz(func(t *testing.T, w0, seed uint64, flips []byte) {
+		l := randomLine(xrand.New(seed))
+		l[0] = w0
+		check := c.EncodeLine(l)
+		if want := ref.EncodeLine(l); check != want {
+			t.Fatalf("EncodeLine %+v, reference %+v", check, want)
+		}
+		for n := 0; n+1 < len(flips) && n < 16; n += 2 {
+			flipCodeword(&l, &check, (int(flips[n])<<8|int(flips[n+1]))%c.CodewordBits())
+		}
+		syn, gErr := c.SyndromeLine(l, check)
+		if wantSyn, wantG := ref.SyndromeLine(l, check); syn != wantSyn || gErr != wantG {
+			t.Fatalf("SyndromeLine (%#x, %v), reference (%#x, %v)", syn, gErr, wantSyn, wantG)
+		}
+		got, want := l, l
+		if res, wantRes := c.DecodeLine(&got, check), ref.DecodeLine(&want, check); res != wantRes || got != want {
+			t.Fatalf("DecodeLine %+v, reference %+v", res, wantRes)
+		}
+	})
 }

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"killi/internal/ecc/olsc"
 	"killi/internal/faultmodel"
 	"killi/internal/gpu"
 	"killi/internal/killi"
@@ -63,8 +64,10 @@ func Schemes() []SchemeSpec {
 // SchemeByName builds a fresh protection scheme from a stable name:
 // "none", "secded", "dected", "flair", "msecc", or "killi-1:<ratio>"
 // (optionally "killi-dected-1:<ratio>" for the §5.2 extension, or
-// "killi-olsc<strength>-1:<ratio>" for the §5.5 low-Vmin mode). Parsing is
-// strict: a malformed or trailing-garbage name is an error, never a guess.
+// "killi-olsc<strength>-1:<ratio>" with 1 ≤ strength ≤ olsc.MaxStrength for
+// the §5.5 low-Vmin mode). Parsing is strict: a malformed, out-of-range or
+// trailing-garbage name is an error, never a guess, and is rejected before
+// any codec is built.
 func SchemeByName(name string) (protection.Scheme, error) {
 	switch name {
 	case "none":
@@ -92,8 +95,8 @@ func SchemeByName(name string) (protection.Scheme, error) {
 				return nil, fmt.Errorf("experiments: bad scheme %q: want killi-olsc<strength>-1:<ratio>", name)
 			}
 			strength, err := strconv.Atoi(strengthStr)
-			if err != nil || strength < 1 {
-				return nil, fmt.Errorf("experiments: bad scheme %q: OLSC strength must be a positive integer", name)
+			if err != nil || strength < 1 || strength > olsc.MaxStrength {
+				return nil, fmt.Errorf("experiments: bad scheme %q: OLSC strength must be an integer in 1..%d", name, olsc.MaxStrength)
 			}
 			ratio, err := parseRatio(ratioStr)
 			if err != nil {
@@ -149,7 +152,7 @@ func SchemeFactoryByName(name string) (protection.Factory, error) {
 // from the parser.
 func SchemeSyntax() string {
 	return "none | secded | dected | flair | msecc | killi-1:<ratio> | " +
-		"killi-dected-1:<ratio> | killi-olsc<strength>-1:<ratio>"
+		"killi-dected-1:<ratio> | killi-olsc<1.." + strconv.Itoa(olsc.MaxStrength) + ">-1:<ratio>"
 }
 
 // SchemeExamples returns one concrete, parseable name per scheme form in

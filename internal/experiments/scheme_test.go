@@ -50,10 +50,29 @@ func TestSchemeByNameRejectsMalformed(t *testing.T) {
 	for _, name := range []string{
 		"", "killi", "killi-", "killi-1:0", "killi-1:64x", "killi-2:64",
 		"killi-olsc-1:64", "killi-olsc0-1:64", "killi-dected-1:",
+		"killi-olsc32-1:64", "killi-olsc100000-1:64",
 		"secded ", "Killi-1:64",
 	} {
 		if _, err := SchemeByName(name); err == nil {
 			t.Errorf("SchemeByName(%q) should be an error", name)
 		}
+	}
+}
+
+// TestSchemeByNameBoundsOLSCStrength pins the strength bound: the largest
+// accepted strength builds, and an oversized one is refused without
+// building its codec (the refusal is instant and allocates almost
+// nothing, where building t=100000 would take gigabytes).
+func TestSchemeByNameBoundsOLSCStrength(t *testing.T) {
+	if s, err := SchemeByName("killi-olsc31-1:64"); err != nil || s.Name() != "killi-olsc31-1:64" {
+		t.Fatalf("killi-olsc31-1:64: %v, %v", s, err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := SchemeByName("killi-olsc100000-1:64"); err == nil {
+			t.Fatal("killi-olsc100000-1:64 accepted")
+		}
+	})
+	if allocs > 10 {
+		t.Fatalf("rejecting an oversized strength made %v allocations", allocs)
 	}
 }

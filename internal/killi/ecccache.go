@@ -1,8 +1,8 @@
 package killi
 
 import (
-	"killi/internal/bitvec"
 	"killi/internal/cache"
+	"killi/internal/ecc"
 	"killi/internal/ecc/secded"
 )
 
@@ -13,12 +13,10 @@ import (
 type eccEntry struct {
 	check    secded.Check
 	parity12 uint16 // the 12 high parity bits of an Initial line
-	// dected holds the 21-bit DECTED checkbits when the entry protects a
-	// line in the DECTED-extended stable state. nil otherwise.
-	dected       *bitvec.Vector
-	dectedGlobal uint
-	// olscCheck holds the OLSC checkbit vector in §5.5 low-Vmin mode.
-	olscCheck *bitvec.Vector
+	// ext holds the checkbits of the stronger code when one protects the
+	// line: the 21-bit DECTED code of a line in the DECTED-extended stable
+	// state, or the OLSC checkbits in §5.5 low-Vmin mode. Zero otherwise.
+	ext ecc.Check
 }
 
 // eccCache is Killi's on-demand error-correction metadata store: a small

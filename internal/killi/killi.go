@@ -5,8 +5,7 @@ import (
 
 	"killi/internal/bitvec"
 	"killi/internal/cache"
-	"killi/internal/ecc/bch"
-	"killi/internal/ecc/olsc"
+	"killi/internal/ecc"
 	"killi/internal/ecc/parity"
 	"killi/internal/ecc/secded"
 	"killi/internal/obs"
@@ -77,8 +76,8 @@ type Config struct {
 	XORHashECCIndex bool
 	// OLSCStrength switches the ECC cache to Orthogonal Latin Square
 	// codes correcting up to this many errors per line (§5.5; Table 7
-	// uses 11). Lines with any correctable fault count stay enabled.
-	// Mutually exclusive with UseDECTED.
+	// uses 11; at most olsc.MaxStrength, 31). Lines with any correctable
+	// fault count stay enabled. Mutually exclusive with UseDECTED.
 	OLSCStrength int
 }
 
@@ -101,7 +100,7 @@ type Scheme struct {
 	cfg    Config
 	h      protection.Host
 	code   *secded.Code
-	dected *bch.Code
+	dected ecc.Codec // nil unless UseDECTED
 	p16    parity.Scheme
 	p4     parity.Scheme
 	ecc    *eccCache
@@ -114,15 +113,17 @@ type Scheme struct {
 	// (only with UseDECTED).
 	dectedOn []bool
 	// olsc is the §5.5 low-Vmin codec (nil unless OLSCStrength > 0).
-	olsc *olsc.Code
+	olsc ecc.Codec
 }
 
-// New returns a Killi scheme with the given configuration.
+// New returns a Killi scheme with the given configuration. Its codecs are
+// the process-wide shared instances, so a scheme per L2 bank per
+// simulation builds no code tables.
 func New(cfg Config) *Scheme {
 	cfg = cfg.withDefaults()
 	s := &Scheme{
 		cfg:  cfg,
-		code: secded.New(bitvec.LineBits),
+		code: secded.Line(),
 		p16:  parity.NewInterleaved(16),
 		p4:   parity.NewInterleaved(4),
 	}
@@ -130,10 +131,10 @@ func New(cfg Config) *Scheme {
 		panic("killi: UseDECTED and OLSCStrength are mutually exclusive")
 	}
 	if cfg.UseDECTED {
-		s.dected = bch.NewLine(2)
+		s.dected = ecc.DECTED()
 	}
 	if cfg.OLSCStrength > 0 {
-		s.olsc = olsc.NewLine(cfg.OLSCStrength)
+		s.olsc = ecc.OLSC(cfg.OLSCStrength)
 	}
 	return s
 }
@@ -364,19 +365,17 @@ func (k *Scheme) OnFill(set, way int, data bitvec.Line) {
 		entry := k.allocECC(set, way)
 		entry.parity12 = uint16(p16 >> 4)
 		entry.check = k.code.EncodeLine(data)
-		entry.dected = nil
+		entry.ext = ecc.Check{}
 	case Stable0:
 		k.parity4[id] = uint8(k.p4.Generate(data))
 	case Stable1:
 		k.parity4[id] = uint8(k.p4.Generate(data))
 		entry := k.allocECC(set, way)
 		if k.dectedOn[id] {
-			ck := k.dected.Encode(lineVector(data))
-			entry.dected = ck.Bits
-			entry.dectedGlobal = ck.Global
+			entry.ext = k.dected.Encode(data)
 		} else {
 			entry.check = k.code.EncodeLine(data)
-			entry.dected = nil
+			entry.ext = ecc.Check{}
 		}
 	default:
 		panic("killi: fill into a disabled line")
@@ -631,15 +630,10 @@ func (k *Scheme) readStable1(set, way int, data *bitvec.Line) protection.Verdict
 
 // readDECTED verifies a DECTED-protected stable line (§5.2 extension).
 func (k *Scheme) readDECTED(set, way, id int, data *bitvec.Line, entry *eccEntry) protection.Verdict {
-	vec := lineVector(*data)
-	res := k.dected.Decode(vec, bch.Check{Bits: entry.dected, Global: entry.dectedGlobal})
-	switch res.Status {
-	case bch.OK:
+	switch k.dected.Decode(data, entry.ext).Status {
+	case ecc.OK:
 		return protection.Deliver
-	case bch.Corrected:
-		for _, b := range res.DataBitsFlipped {
-			data.FlipBit(b)
-		}
+	case ecc.Corrected:
 		k.h.Stats().IncC(cCorrectedReads)
 		return protection.Deliver
 	default:
@@ -771,9 +765,4 @@ func (k *Scheme) Scrub() (reclaimed int) {
 		reclaimed++
 	})
 	return reclaimed
-}
-
-// lineVector copies a Line into a 512-bit Vector for the BCH codec.
-func lineVector(l bitvec.Line) *bitvec.Vector {
-	return bitvec.LineVector(l)
 }

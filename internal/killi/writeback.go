@@ -6,7 +6,7 @@ import (
 
 	"killi/internal/bitvec"
 	"killi/internal/cache"
-	"killi/internal/ecc/bch"
+	"killi/internal/ecc"
 	"killi/internal/ecc/parity"
 	"killi/internal/ecc/secded"
 	"killi/internal/faultmodel"
@@ -60,7 +60,7 @@ type WriteBackCache struct {
 	backing map[uint64]bitvec.Line
 
 	secded *secded.Code
-	dected *bch.Code
+	dected ecc.Codec
 	p16    parity.Scheme
 	p4     parity.Scheme
 	ecc    *eccCache
@@ -89,8 +89,8 @@ func NewWriteBack(cfg WriteBackConfig, faults *faultmodel.Map, vNorm float64) *W
 		tags:    tags,
 		data:    sram.New(lines, faults, vNorm),
 		backing: make(map[uint64]bitvec.Line),
-		secded:  secded.New(bitvec.LineBits),
-		dected:  bch.NewLine(2),
+		secded:  secded.Line(),
+		dected:  ecc.DECTED(),
 		p16:     parity.NewInterleaved(16),
 		p4:      parity.NewInterleaved(4),
 		ecc:     newECCCache(lines, cfg.Ratio, cfg.Assoc),
@@ -293,13 +293,11 @@ func (c *WriteBackCache) protect(set, way, id int, data bitvec.Line) {
 		if c.dirty[id] {
 			// Dirty data on a 1-fault line: upgrade to DECTED using the
 			// entry's 23 free bits.
-			ck := c.dected.Encode(lineVector(data))
-			entry.dected = ck.Bits
-			entry.dectedGlobal = ck.Global
+			entry.ext = c.dected.Encode(data)
 			c.useDEC[id] = true
 		} else {
 			entry.check = c.secded.EncodeLine(data)
-			entry.dected = nil
+			entry.ext = ecc.Check{}
 			c.useDEC[id] = false
 		}
 	default:
@@ -439,9 +437,7 @@ func (c *WriteBackCache) verifyWith(set, way, id int, data *bitvec.Line, entry *
 			c.setWBDFH(set, way, Stable1)
 			c.parity4[id] = uint8(parity.Fold(stored16))
 			if c.dirty[id] {
-				ck := c.dected.Encode(lineVector(*data))
-				entry.dected = ck.Bits
-				entry.dectedGlobal = ck.Global
+				entry.ext = c.dected.Encode(*data)
 				c.useDEC[id] = true
 			}
 			return true, nil
@@ -474,15 +470,10 @@ func (c *WriteBackCache) verifyWith(set, way, id int, data *bitvec.Line, entry *
 		return true, nil
 	case Stable1:
 		if c.useDEC[id] {
-			vec := lineVector(*data)
-			res := c.dected.Decode(vec, bch.Check{Bits: entry.dected, Global: entry.dectedGlobal})
-			switch res.Status {
-			case bch.OK:
+			switch c.dected.Decode(data, entry.ext).Status {
+			case ecc.OK:
 				return true, nil
-			case bch.Corrected:
-				for _, b := range res.DataBitsFlipped {
-					data.FlipBit(b)
-				}
+			case ecc.Corrected:
 				c.ctr.Inc("wb.corrected_reads")
 				return true, nil
 			default:

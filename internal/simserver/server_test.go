@@ -577,3 +577,29 @@ func TestFaultClassJobs(t *testing.T) {
 		t.Errorf("campaign produced %d cells, want 2 (one per class)", len(camp.Campaign.Cells))
 	}
 }
+
+// TestHTTPRejectsOversizedOLSCStrength pins the strength bound at the
+// daemon's boundary: validating a scheme name builds its codec, so an
+// unbounded OLSC strength in one job could exhaust memory. The job must
+// be refused with 400 before any work starts.
+func TestHTTPRejectsOversizedOLSCStrength(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := `{"kind":"run","workload":"xsbench","scheme":"killi-olsc100000-1:64","requests_per_cu":300}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatalf("decoding response: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || doc["error"] == "" {
+		t.Fatalf("status %d doc %v, want 400 with error", resp.StatusCode, doc)
+	}
+	if st := s.Stats(); st.Executed != 0 || st.Running != 0 {
+		t.Fatalf("an invalid job reached the workers: %+v", st)
+	}
+}
