@@ -61,9 +61,11 @@ type VictimFunc func(entries []Entry) int
 
 // Cache is a set-associative tag store. Construct with New.
 type Cache struct {
-	cfg   Config
-	sets  [][]Entry
-	clock uint64
+	cfg Config
+	// entries is the flat tag array: set s occupies
+	// entries[s*Ways : (s+1)*Ways].
+	entries []Entry
+	clock   uint64
 	// Address-slicing fast path: LineBytes is always a power of two and
 	// Sets almost always is, so Index/Tag — on the critical path of every
 	// simulated access — run as shifts and masks instead of div/mod.
@@ -79,18 +81,22 @@ func New(cfg Config) *Cache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, sets: make([][]Entry, cfg.Sets)}
+	c := &Cache{cfg: cfg, entries: make([]Entry, cfg.Sets*cfg.Ways)}
 	c.lineShift = uint(bits.TrailingZeros64(uint64(cfg.LineBytes)))
 	if cfg.Sets&(cfg.Sets-1) == 0 {
 		c.pow2Sets = true
 		c.setShift = uint(bits.TrailingZeros64(uint64(cfg.Sets)))
 		c.setMask = uint64(cfg.Sets - 1)
 	}
-	backing := make([]Entry, cfg.Sets*cfg.Ways)
-	for s := range c.sets {
-		c.sets[s] = backing[s*cfg.Ways : (s+1)*cfg.Ways : (s+1)*cfg.Ways]
-	}
 	return c
+}
+
+// Clear returns the cache to the state New leaves it in: every entry
+// zeroed (invalid, enabled, class 0) and the recency clock at 0. The
+// storage is kept.
+func (c *Cache) Clear() {
+	clear(c.entries)
+	c.clock = 0
 }
 
 // Config returns the cache geometry.
@@ -120,7 +126,7 @@ func (c *Cache) LineID(set, way int) int { return set*c.cfg.Ways + way }
 // tag compare comes first: it rejects 15 of 16 ways with one comparison,
 // where leading with the flag checks costs three per way on a warm cache.
 func (c *Cache) Lookup(set int, tag uint64) (way int, hit bool) {
-	es := c.sets[set]
+	es := c.Set(set)
 	for w := range es {
 		e := &es[w]
 		if e.Tag == tag && e.Valid && !e.Disabled {
@@ -132,23 +138,26 @@ func (c *Cache) Lookup(set int, tag uint64) (way int, hit bool) {
 
 // Entry returns a pointer to the entry at (set, way) for inspection or
 // scheme-state mutation.
-func (c *Cache) Entry(set, way int) *Entry { return &c.sets[set][way] }
+func (c *Cache) Entry(set, way int) *Entry { return &c.entries[set*c.cfg.Ways+way] }
 
 // Set returns the entries of a set. The slice aliases cache state; it is
 // provided for read-mostly policy decisions and statistics.
-func (c *Cache) Set(set int) []Entry { return c.sets[set] }
+func (c *Cache) Set(set int) []Entry {
+	lo, hi := set*c.cfg.Ways, (set+1)*c.cfg.Ways
+	return c.entries[lo:hi:hi]
+}
 
 // Touch marks (set, way) most recently used.
 func (c *Cache) Touch(set, way int) {
 	c.clock++
-	c.sets[set][way].LastUse = c.clock
+	c.entries[set*c.cfg.Ways+way].LastUse = c.clock
 }
 
 // Install fills (set, way) with tag, marks it valid and most recently used.
 // The entry's Class is preserved: Killi's DFH state is a property of the
 // physical line, persistent across data installations (§4.4).
 func (c *Cache) Install(set, way int, tag uint64) {
-	e := &c.sets[set][way]
+	e := c.Entry(set, way)
 	if e.Disabled {
 		panic(fmt.Sprintf("cache: Install into disabled line set=%d way=%d", set, way))
 	}
@@ -160,7 +169,7 @@ func (c *Cache) Install(set, way int, tag uint64) {
 // Invalidate clears the valid bit at (set, way). Class and Disabled are
 // preserved.
 func (c *Cache) Invalidate(set, way int) {
-	c.sets[set][way].Valid = false
+	c.Entry(set, way).Valid = false
 }
 
 // Victim picks a victim in the set using pick (LRUVictim if nil).
@@ -168,11 +177,12 @@ func (c *Cache) Victim(set int, pick VictimFunc) (way int, ok bool) {
 	if pick == nil {
 		pick = LRUVictim
 	}
-	w := pick(c.sets[set])
+	es := c.Set(set)
+	w := pick(es)
 	if w < 0 {
 		return -1, false
 	}
-	if c.sets[set][w].Disabled {
+	if es[w].Disabled {
 		panic("cache: victim function returned a disabled way")
 	}
 	return w, true
@@ -203,8 +213,8 @@ func LRUVictim(entries []Entry) int {
 // EnabledWays counts non-disabled ways in a set.
 func (c *Cache) EnabledWays(set int) int {
 	n := 0
-	for w := range c.sets[set] {
-		if !c.sets[set][w].Disabled {
+	for _, e := range c.Set(set) {
+		if !e.Disabled {
 			n++
 		}
 	}
@@ -214,11 +224,9 @@ func (c *Cache) EnabledWays(set int) int {
 // DisabledLines counts disabled lines across the whole cache.
 func (c *Cache) DisabledLines() int {
 	n := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].Disabled {
-				n++
-			}
+	for i := range c.entries {
+		if c.entries[i].Disabled {
+			n++
 		}
 	}
 	return n
@@ -227,9 +235,11 @@ func (c *Cache) DisabledLines() int {
 // ForEach visits every (set, way, entry) for statistics and bulk state
 // transitions (e.g. Killi's DFH reset on a voltage change).
 func (c *Cache) ForEach(fn func(set, way int, e *Entry)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			fn(s, w, &c.sets[s][w])
+	i := 0
+	for s := 0; s < c.cfg.Sets; s++ {
+		for w := 0; w < c.cfg.Ways; w++ {
+			fn(s, w, &c.entries[i])
+			i++
 		}
 	}
 }

@@ -266,3 +266,29 @@ func BenchmarkLookupHit(b *testing.B) {
 		_, _ = c.Lookup(0, uint64(i&15))
 	}
 }
+
+// TestClearMatchesNew pins Clear: after installs, touches, disables and
+// scheme classes, a cleared cache is entry-for-entry a new one, and its
+// recency clock restarts.
+func TestClearMatchesNew(t *testing.T) {
+	c := newTestCache(t)
+	for s := 0; s < 8; s++ {
+		for w := 0; w < 4; w++ {
+			c.Install(s, w, uint64(s*10+w))
+			c.Entry(s, w).Class = w
+		}
+	}
+	c.Entry(3, 1).Disabled = true
+	c.Clear()
+	fresh := newTestCache(t)
+	c.ForEach(func(set, way int, e *Entry) {
+		if *e != *fresh.Entry(set, way) {
+			t.Fatalf("entry (%d,%d) = %+v after Clear, want %+v", set, way, *e, *fresh.Entry(set, way))
+		}
+	})
+	c.Install(0, 0, 1)
+	fresh.Install(0, 0, 1)
+	if c.Entry(0, 0).LastUse != fresh.Entry(0, 0).LastUse {
+		t.Fatalf("recency clock not restarted: LastUse %d, want %d", c.Entry(0, 0).LastUse, fresh.Entry(0, 0).LastUse)
+	}
+}

@@ -215,6 +215,26 @@ func New(numDomains int) *Engine {
 	return e
 }
 
+// Reset returns the engine to the state New leaves it in — clock at 0, no
+// queued events, no tickers, every domain's scheduling sequence at 0 —
+// keeping its storage and its domains' bound sinks.
+func (e *Engine) Reset() {
+	for i := range e.domains {
+		e.domains[i].seq = 0
+	}
+	e.now = 0
+	e.stats = RunStats{}
+	clear(e.slots[:])
+	clear(e.occ[:])
+	e.nodes = e.nodes[:1]
+	e.free = 0
+	e.queued = 0
+	e.overflow = e.overflow[:0]
+	e.overflowPushes = 0
+	e.fired = event{}
+	e.tickers = e.tickers[:0]
+}
+
 // Domain returns domain i.
 func (e *Engine) Domain(i int) *Domain { return &e.domains[i] }
 

@@ -300,3 +300,48 @@ func TestTickerInterleavesWithEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestResetMatchesNew pins Reset: an engine reset with events still
+// queued (in the wheel and in the overflow heap), a ticker armed and a
+// non-zero clock runs a schedule exactly as a new engine does.
+func TestResetMatchesNew(t *testing.T) {
+	type rec struct{ a, cycle uint64 }
+	schedule := func(e *Engine) ([]rec, RunStats, uint64) {
+		var fired []rec
+		for i := 0; i < 3; i++ {
+			d := e.Domain(i)
+			d.Bind(sinkFunc(func(kind uint8, a, b uint64) {
+				fired = append(fired, rec{a, d.Now()})
+				if a > 0 && a%3 == 0 {
+					d.Send(e.Domain((d.ID()+1)%3), 2, kind, a-1, b)
+				}
+			}))
+			for j := uint64(0); j < 20; j++ {
+				d.After(j*7+uint64(i), 0, j, 0)
+			}
+		}
+		e.Domain(1).After(3*horizon, 0, 99, 0)
+		end := e.Run()
+		return fired, e.Stats(), end
+	}
+	dirty := New(3)
+	schedule(dirty)
+	dirty.SetTicker(1, 50, func(uint64) { t.Fatal("a ticker survived Reset") })
+	dirty.Domain(0).After(10, 0, 1, 0)
+	dirty.Domain(2).After(2*horizon, 0, 1, 0)
+	dirty.Reset()
+	if dirty.Now() != 0 || dirty.Stats() != (RunStats{}) {
+		t.Fatalf("reset engine at cycle %d with stats %+v", dirty.Now(), dirty.Stats())
+	}
+	gotFired, gotStats, gotEnd := schedule(dirty)
+	wantFired, wantStats, wantEnd := schedule(New(3))
+	if gotEnd != wantEnd || gotStats != wantStats || len(gotFired) != len(wantFired) {
+		t.Fatalf("reset engine: end %d stats %+v fired %d; new engine: end %d stats %+v fired %d",
+			gotEnd, gotStats, len(gotFired), wantEnd, wantStats, len(wantFired))
+	}
+	for i := range gotFired {
+		if gotFired[i] != wantFired[i] {
+			t.Fatalf("event %d: reset engine fired %+v, new engine %+v", i, gotFired[i], wantFired[i])
+		}
+	}
+}

@@ -30,6 +30,7 @@ package gpu
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"killi/internal/bitvec"
 	"killi/internal/cache"
@@ -175,10 +176,12 @@ const (
 )
 
 // System is one simulated GPU with an attached protection scheme (one
-// instance per L2 bank, built by the factory). Construct with New.
+// instance per L2 bank, built by the factory). Construct with New or
+// NewShared; Release hands a finished System back for reuse.
 type System struct {
-	cfg Config
-	eng *engine.Engine
+	cfg  Config
+	geom geometry
+	eng  *engine.Engine
 
 	cus   []*cuDomain
 	banks []*bankDomain
@@ -196,10 +199,10 @@ type System struct {
 	bankMask   uint64
 	bankShift  uint
 
-	// ctr is the merged, externally visible counter set (Result.Counters
-	// points here); it is rebuilt from sysCtr and every domain's counters
-	// at Run boundaries and observer samples. sysCtr holds between-run
-	// system operations (voltage transitions, aging injection).
+	// ctr is the merged counter set (Result.Counters is a copy of it); it
+	// is rebuilt from sysCtr and every domain's counters at Run boundaries
+	// and observer samples. sysCtr holds between-run system operations
+	// (voltage transitions, aging injection).
 	ctr    stats.Counters
 	sysCtr stats.Counters
 
@@ -218,6 +221,11 @@ type System struct {
 	obsEpoch   uint64
 	sampler    *obsSampler
 	obsScratch []bufferedObsEvent
+
+	// used is set once reset has run: from then on the storage may hold
+	// a previous simulation's state. released is set between Release and
+	// the NewShared that reuses s.
+	used, released bool
 }
 
 // cuDomain is one compute unit front-end: trace issue window plus its
@@ -251,7 +259,7 @@ type bankDomain struct {
 	tags   *cache.Cache // localSets x ways, addressed by (localSet, global tag)
 	data   *sram.Array  // strided view of the shared fault map
 	scheme protection.Scheme
-	mem    *mem.Memory // this bank's DRAM channel queue
+	mem    mem.Memory // this bank's DRAM channel queue
 
 	// lineState packs, per line address served by this bank, the write
 	// version together with the count of in-flight fetches; see the
@@ -316,6 +324,11 @@ func New(cfg Config, newScheme protection.Factory) *System {
 // resolved view are read-only; the System never mutates them, so one
 // SharedFaults can serve concurrent simulations. The view's voltage must
 // match cfg.Voltage and the map must cover the L2.
+//
+// When a System of the same geometry has been handed back with Release,
+// NewShared resets that one in place instead of allocating: the result is
+// indistinguishable from a freshly allocated System (pinned by
+// TestReusedSystemMatchesFresh).
 func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *System {
 	if cfg.CUs <= 0 || cfg.L2Banks <= 0 || cfg.WindowPerCU <= 0 {
 		panic("gpu: invalid configuration")
@@ -327,15 +340,50 @@ func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *
 		panic("gpu: LineBytes must be a positive power of two")
 	}
 	globalSets := cfg.L2Bytes / cfg.LineBytes / cfg.L2Ways
-	effBanks := cfg.L2Banks
-	if effBanks > globalSets {
-		effBanks = globalSets
-	}
+	effBanks := min(cfg.L2Banks, globalSets)
 	if globalSets%effBanks != 0 {
 		panic(fmt.Sprintf("gpu: %d L2 sets not divisible across %d banks", globalSets, effBanks))
 	}
+	if shared == nil {
+		shared = BuildSharedFaults(cfg)
+	}
+	if totalLines := globalSets * cfg.L2Ways; shared.Map.Lines() < totalLines {
+		panic(fmt.Sprintf("gpu: shared fault map covers %d lines, L2 has %d",
+			shared.Map.Lines(), totalLines))
+	}
+	if shared.Resolved.Voltage() != cfg.Voltage {
+		panic(fmt.Sprintf("gpu: shared fault view resolved at %v, system runs at %v",
+			shared.Resolved.Voltage(), cfg.Voltage))
+	}
+	s, _ := released.Get().(*System)
+	if s == nil || s.geom != cfg.geometry() {
+		s = allocate(cfg, globalSets, effBanks, shared)
+	}
+	s.reset(cfg, newScheme, shared)
+	return s
+}
+
+// released holds Systems handed back by Release for NewShared to reset.
+// A sync.Pool rather than a free list: a System nobody reclaims is freed
+// after two garbage collections instead of staying live.
+var released sync.Pool
+
+// geometry is the slice of a Config that sizes a System's storage; a
+// released System is reused only for a configuration of equal geometry.
+type geometry struct {
+	cus, l1Bytes, l1Ways, l2Bytes, l2Ways, l2Banks, lineBytes int
+}
+
+func (c Config) geometry() geometry {
+	return geometry{c.CUs, c.L1Bytes, c.L1Ways, c.L2Bytes, c.L2Ways, c.L2Banks, c.LineBytes}
+}
+
+// allocate builds the storage of a System of cfg's geometry: engine,
+// domains, tag and data arrays, line tables and RNGs. Everything else —
+// and the contents of all of it — is set by reset.
+func allocate(cfg Config, globalSets, effBanks int, shared *SharedFaults) *System {
 	s := &System{
-		cfg:        cfg,
+		geom:       cfg.geometry(),
 		effBanks:   effBanks,
 		globalSets: globalSets,
 		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
@@ -350,19 +398,6 @@ func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *
 		s.bankMask = uint64(effBanks - 1)
 		s.bankShift = uint(bits.TrailingZeros(uint(effBanks)))
 	}
-	if shared == nil {
-		shared = BuildSharedFaults(cfg)
-	}
-	totalLines := globalSets * cfg.L2Ways
-	if shared.Map.Lines() < totalLines {
-		panic(fmt.Sprintf("gpu: shared fault map covers %d lines, L2 has %d",
-			shared.Map.Lines(), totalLines))
-	}
-	if shared.Resolved.Voltage() != cfg.Voltage {
-		panic(fmt.Sprintf("gpu: shared fault view resolved at %v, system runs at %v",
-			shared.Resolved.Voltage(), cfg.Voltage))
-	}
-
 	s.eng = engine.New(cfg.CUs + effBanks)
 
 	l1Sets := cfg.L1Bytes / cfg.LineBytes / cfg.L1Ways
@@ -389,21 +424,73 @@ func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *
 			tags: cache.New(cache.Config{Sets: localSets, Ways: cfg.L2Ways, LineBytes: cfg.LineBytes}),
 			data: sram.NewResolvedView(bankLines, shared.Map, shared.Resolved,
 				cfg.L2Ways, effBanks, i),
-			// Each bank owns a DRAM channel queue; scaling the completion
-			// gap by the bank count keeps whole-GPU peak bandwidth equal
-			// to the configured mem.Config.
-			mem: mem.New(mem.Config{
-				LatencyCycles: orDefault(cfg.Mem).LatencyCycles,
-				GapCycles:     orDefault(cfg.Mem).GapCycles * uint64(effBanks),
-			}),
 			versionsHighWater: 4 * bankLines,
 			lineData:          make([]bitvec.Line, bankLines),
-			softRNG:           xrand.New(cfg.FaultSeed ^ 0x5eed50f7 ^ (uint64(i)+1)*0x9e3779b97f4a7c15),
-			replRNG:           xrand.New(cfg.FaultSeed ^ 0xbe91ace5eed ^ (uint64(i)+1)*0xda942042e4dd58b5),
+			softRNG:           new(xrand.Rand),
+			replRNG:           new(xrand.Rand),
 			wayScratch:        make([]int, cfg.L2Ways),
 		}
 		b.d.Bind(b)
 		s.banks[i] = b
+	}
+	return s
+}
+
+// reset puts a System of cfg's geometry into the state a fresh build has:
+// it is the only place construction-time state is set, for new and reused
+// Systems alike. Storage straight from allocate is already clear and bound
+// to shared, so only a System that has been reset before clears it.
+func (s *System) reset(cfg Config, newScheme protection.Factory, shared *SharedFaults) {
+	if s.used {
+		s.eng.Reset()
+		for _, c := range s.cus {
+			c.l1.Clear()
+		}
+		for _, b := range s.banks {
+			b.tags.Clear()
+			b.data.Rebind(shared.Map, shared.Resolved)
+			b.lineState.reset()
+			clear(b.lineData)
+		}
+	}
+	s.used = true
+	s.cfg = cfg
+	s.released = false
+	s.ctr.Reset()
+	s.sysCtr.Reset()
+	s.stallUntil = 0
+	s.observer, s.obsEpoch, s.sampler = nil, 0, nil
+	s.obsScratch = s.obsScratch[:0]
+
+	for _, c := range s.cus {
+		c.ctr.Reset()
+		*c = cuDomain{sys: s, d: c.d, id: c.id, l1: c.l1, ctr: c.ctr}
+	}
+	for i, b := range s.banks {
+		b.ctr.Reset()
+		b.softRNG.Seed(cfg.FaultSeed ^ 0x5eed50f7 ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
+		b.replRNG.Seed(cfg.FaultSeed ^ 0xbe91ace5eed ^ (uint64(i)+1)*0xda942042e4dd58b5)
+		*b = bankDomain{
+			sys:  s,
+			d:    b.d,
+			bank: b.bank,
+			tags: b.tags,
+			data: b.data,
+			// Each bank owns a DRAM channel queue; scaling the completion
+			// gap by the bank count keeps whole-GPU peak bandwidth equal
+			// to the configured mem.Config.
+			mem: *mem.New(mem.Config{
+				LatencyCycles: orDefault(cfg.Mem).LatencyCycles,
+				GapCycles:     orDefault(cfg.Mem).GapCycles * uint64(s.effBanks),
+			}),
+			lineState:         b.lineState,
+			versionsHighWater: b.versionsHighWater,
+			lineData:          b.lineData,
+			ctr:               b.ctr,
+			softRNG:           b.softRNG,
+			replRNG:           b.replRNG,
+			wayScratch:        b.wayScratch,
+		}
 	}
 	for _, b := range s.banks {
 		b.scheme = newScheme()
@@ -415,8 +502,8 @@ func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *
 	if s.classEpoch == 0 {
 		s.classEpoch = DefaultEpochCycles
 	}
-	if !cfg.Classes.IsZero() {
-		s.classed = true
+	s.classed = !cfg.Classes.IsZero()
+	if s.classed {
 		classSeed := faultmodel.ClassSeed(cfg.FaultSeed)
 		for _, b := range s.banks {
 			b.data.SetFaultClasses(cfg.Classes, classSeed)
@@ -431,8 +518,28 @@ func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *
 			s.eng.SetTicker(1, s.classEpoch, s.onStrikeTick)
 		}
 	}
+}
 
-	return s
+// Release hands a finished System back for a later NewShared of the same
+// geometry to reset and reuse. After Release the caller must not use s,
+// nor anything obtained from it by pointer (Stats, SchemeProbe); a Result
+// owns its fields and stays valid. Release only a System whose last Run
+// returned normally: one that panicked mid-run is simply dropped.
+func (s *System) Release() {
+	if s.released {
+		panic("gpu: System released twice")
+	}
+	s.released = true
+	// Drop what the pooled System need not keep alive while it waits.
+	for _, c := range s.cus {
+		c.trace = nil
+	}
+	for _, b := range s.banks {
+		b.scheme = nil
+		b.obsBuf = nil
+	}
+	s.observer, s.sampler = nil, nil
+	released.Put(s)
 }
 
 func orDefault(c mem.Config) mem.Config {
@@ -834,7 +941,7 @@ func (s *System) Run(traces [][]workload.Request) Result {
 		DisabledLines:    s.DisabledLines(),
 		SDC:              s.ctr.Since(snap, "l2.silent_data_corruption"),
 		TransientStrikes: s.ctr.Since(snap, "l2.transient_strikes"),
-		Counters:         &s.ctr,
+		Counters:         s.ctr.Clone(),
 		Sched:            s.eng.Stats(),
 	}
 	if mc, ok := s.Misclassification(); ok {

@@ -38,6 +38,19 @@ func (t *lineTable) init(capacity int) {
 	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
 }
 
+// reset empties the table. A table still at its initial capacity keeps
+// its storage; a grown one is dropped, so the next ref starts over at the
+// initial capacity exactly as a new table does.
+func (t *lineTable) reset() {
+	if len(t.keys) != lineTableMinCap {
+		*t = lineTable{}
+		return
+	}
+	clear(t.keys)
+	clear(t.vals)
+	t.live = 0
+}
+
 func (t *lineTable) idx(key uint64) uint64 {
 	return key * 0x9e3779b97f4a7c15 >> t.shift
 }

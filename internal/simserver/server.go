@@ -24,6 +24,15 @@ var (
 	ErrClosed = errors.New("simserver: server is shutting down")
 )
 
+// ErrPanicked marks a job whose execution panicked. The panic is
+// recovered: the job fails with this error (HTTP 500) and the server keeps
+// serving every other job.
+var ErrPanicked = errors.New("simserver: job panicked")
+
+// testHookExecute, when set, runs at the start of every job execution. It
+// exists so tests can inject a panic into one job.
+var testHookExecute func(JobRequest)
+
 // Config parameterizes a Server.
 type Config struct {
 	// CacheDir roots the content-addressed result cache shared by every
@@ -35,8 +44,9 @@ type Config struct {
 	// rejects new work with ErrBusy. 0 means 4 × Workers.
 	QueueDepth int
 	// Metrics, when non-nil, receives job counters (jobs_executed,
-	// jobs_coalesced, jobs_rejected, queue_depth, jobs_running) and the
-	// most recent sweep's task progress next to its built-in vars.
+	// jobs_coalesced, jobs_rejected, jobs_panicked, queue_depth,
+	// jobs_running) and the most recent sweep's task progress next to its
+	// built-in vars.
 	Metrics *obs.Metrics
 	// RetainJobs bounds the in-memory registry of completed job results
 	// (re-fetchable via GET /v1/jobs/{key}; identical re-submissions are
@@ -91,6 +101,7 @@ type Server struct {
 	queued       atomic.Int64 // jobs waiting in the queue right now
 	running      atomic.Int64 // jobs executing right now
 	retainedHits atomic.Int64 // submissions served from the retained registry
+	panicked     atomic.Int64 // jobs whose execution panicked (recovered)
 }
 
 // Stats is a snapshot of the server's job counters.
@@ -106,6 +117,8 @@ type Stats struct {
 	// the bounded registry; RetainedHits counts submissions served from it.
 	Retained     int   `json:"retained"`
 	RetainedHits int64 `json:"retained_hits"`
+	// Panicked counts jobs that failed with ErrPanicked.
+	Panicked int64 `json:"panicked"`
 }
 
 // Stats returns a snapshot of the job counters.
@@ -119,6 +132,7 @@ func (s *Server) Stats() Stats {
 		Workers:      s.workers,
 		Queue:        cap(s.jobs),
 		RetainedHits: s.retainedHits.Load(),
+		Panicked:     s.panicked.Load(),
 	}
 	if s.retain != nil {
 		st.Retained = s.retain.count()
@@ -184,6 +198,7 @@ func (s *Server) publishMetrics() {
 	m.Set("jobs_executed", gauge(s.executed.Load))
 	m.Set("jobs_coalesced", gauge(s.coalesced.Load))
 	m.Set("jobs_rejected", gauge(s.rejected.Load))
+	m.Set("jobs_panicked", gauge(s.panicked.Load))
 	m.Set("jobs_running", gauge(s.running.Load))
 	m.Set("queue_depth", gauge(s.queued.Load))
 	m.Set("queue_capacity", gauge(func() int64 { return int64(cap(s.jobs)) }))
@@ -220,9 +235,19 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one job under the server's lifecycle context.
-func (s *Server) execute(ctx context.Context, c *call) (*JobResult, error) {
+// execute runs one job under the server's lifecycle context. A panic on
+// the executing goroutine fails only this job, with ErrPanicked.
+func (s *Server) execute(ctx context.Context, c *call) (res *JobResult, err error) {
 	s.executed.Add(1)
+	defer func() {
+		if p := recover(); p != nil {
+			s.panicked.Add(1)
+			res, err = nil, fmt.Errorf("%w: %v", ErrPanicked, p)
+		}
+	}()
+	if testHookExecute != nil {
+		testHookExecute(c.req)
+	}
 	start := time.Now()
 	req := c.req
 	cfg := req.config(s.cfg.CacheDir)

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"killi/internal/obs"
 )
 
 // smallRun is a fast run job for tests (~10ms of simulation).
@@ -601,5 +603,43 @@ func TestHTTPRejectsOversizedOLSCStrength(t *testing.T) {
 	}
 	if st := s.Stats(); st.Executed != 0 || st.Running != 0 {
 		t.Fatalf("an invalid job reached the workers: %+v", st)
+	}
+}
+
+// TestJobPanicIsolated injects a panic into one job: that job fails with
+// ErrPanicked, the daemon keeps serving (the next job succeeds on the same
+// single worker), and the panic is counted in Stats and /metrics.
+func TestJobPanicIsolated(t *testing.T) {
+	const poison = 666
+	testHookExecute = func(req JobRequest) {
+		if req.Seed == poison {
+			panic("injected")
+		}
+	}
+	t.Cleanup(func() { testHookExecute = nil })
+	m := obs.NewMetrics()
+	s := newTestServer(t, Config{Workers: 1, Metrics: m})
+	ctx := context.Background()
+
+	if _, err := s.Submit(ctx, smallRun(poison)); !errors.Is(err, ErrPanicked) {
+		t.Fatalf("poisoned job: err = %v, want ErrPanicked", err)
+	}
+	res, err := s.Submit(ctx, smallRun(1))
+	if err != nil || res.Run == nil || res.Run.Cycles == 0 {
+		t.Fatalf("job after the panic: %+v, %v", res, err)
+	}
+	if got := s.Stats().Panicked; got != 1 {
+		t.Errorf("Stats().Panicked = %d, want 1", got)
+	}
+	rec := httptest.NewRecorder()
+	m.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var doc struct {
+		Panicked int64 `json:"jobs_panicked"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("decoding /metrics: %v", err)
+	}
+	if doc.Panicked != 1 {
+		t.Errorf("/metrics jobs_panicked = %d, want 1", doc.Panicked)
 	}
 }

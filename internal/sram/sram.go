@@ -89,23 +89,7 @@ func New(n int, faults *faultmodel.Map, vNorm float64) *Array {
 // resolves the map once instead of once per array. The view must come from
 // the same map.
 func NewResolved(n int, faults *faultmodel.Map, resolved *faultmodel.Resolved) *Array {
-	if faults.Lines() < n {
-		panic(fmt.Sprintf("sram: fault map covers %d lines, need %d", faults.Lines(), n))
-	}
-	if faults.BitsPerLine() != bitvec.LineBits {
-		panic("sram: fault map is not 512 bits per line")
-	}
-	if resolved.Lines() < n {
-		panic(fmt.Sprintf("sram: resolved view covers %d lines, need %d", resolved.Lines(), n))
-	}
-	return &Array{
-		lines:     make([]bitvec.Line, n),
-		faults:    faults,
-		voltage:   resolved.Voltage(),
-		active:    resolved,
-		mapWays:   1,
-		mapStride: 1,
-	}
+	return NewResolvedView(n, faults, resolved, 1, 1, 0)
 }
 
 // NewResolvedView returns an n-line array that maps its lines onto a
@@ -122,7 +106,31 @@ func NewResolvedView(n int, faults *faultmodel.Map, resolved *faultmodel.Resolve
 	if n%ways != 0 {
 		panic(fmt.Sprintf("sram: %d lines not a multiple of %d ways", n, ways))
 	}
-	need := ((n/ways-1)*stride + offset + 1) * ways
+	a := &Array{
+		lines:     make([]bitvec.Line, n),
+		mapWays:   ways,
+		mapStride: stride,
+		mapOffset: offset,
+	}
+	a.bind(faults, resolved)
+	return a
+}
+
+// Rebind returns the array to the state its constructor leaves it in, over
+// a new fault map and resolved view, keeping its line storage and view
+// geometry: payloads zeroed, injected faults dropped, no fault-class spec,
+// fault epoch 0, and the operating voltage taken from the view. The map
+// must cover every map line the view addresses, and the resolved view
+// must come from the same map.
+func (a *Array) Rebind(faults *faultmodel.Map, resolved *faultmodel.Resolved) {
+	clear(a.lines)
+	a.bind(faults, resolved)
+}
+
+// bind points an array whose payloads are zero at a fault map and its
+// resolved view, resetting every other field to its initial value.
+func (a *Array) bind(faults *faultmodel.Map, resolved *faultmodel.Resolved) {
+	need := ((len(a.lines)/a.mapWays-1)*a.mapStride + a.mapOffset + 1) * a.mapWays
 	if faults.Lines() < need {
 		panic(fmt.Sprintf("sram: fault map covers %d lines, view needs %d", faults.Lines(), need))
 	}
@@ -132,14 +140,14 @@ func NewResolvedView(n int, faults *faultmodel.Map, resolved *faultmodel.Resolve
 	if resolved.Lines() < need {
 		panic(fmt.Sprintf("sram: resolved view covers %d lines, view needs %d", resolved.Lines(), need))
 	}
-	return &Array{
-		lines:     make([]bitvec.Line, n),
+	*a = Array{
+		lines:     a.lines,
 		faults:    faults,
 		voltage:   resolved.Voltage(),
 		active:    resolved,
-		mapWays:   ways,
-		mapStride: stride,
-		mapOffset: offset,
+		mapWays:   a.mapWays,
+		mapStride: a.mapStride,
+		mapOffset: a.mapOffset,
 	}
 }
 

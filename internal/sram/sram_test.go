@@ -305,3 +305,37 @@ func TestResolvedViewRejectsShortMap(t *testing.T) {
 	// ((8/4-1)*4+3+1)*4 = 32 > 16.
 	NewResolvedView(8, fm, fm.Resolve(0.6), 4, 4, 3)
 }
+
+// TestRebindMatchesNew pins Rebind: an array with written payloads,
+// injected aging faults, a fault-class spec and a moved fault epoch,
+// rebound onto another map, reads exactly as an array built on that map.
+func TestRebindMatchesNew(t *testing.T) {
+	const lines, ways, stride = 64, 4, 2
+	mk := func(seed uint64) (*faultmodel.Map, *faultmodel.Resolved) {
+		fm := faultmodel.NewMap(xrand.New(seed), faultmodel.Default(), lines*stride, bitvec.LineBits, 0.5, 1.0)
+		return fm, fm.Resolve(0.55)
+	}
+	oldMap, oldView := mk(1)
+	a := NewResolvedView(lines, oldMap, oldView, ways, stride, 1)
+	r := xrand.New(9)
+	for i := 0; i < lines; i++ {
+		a.Write(i, randomLine(r))
+		a.InjectPersistentFault(i, r.Intn(bitvec.LineBits), 1)
+	}
+	a.SetFaultClasses(faultmodel.ClassSpec{IntermittentFrac: 0.5, IntermittentProb: 0.3}, 77)
+	a.SetFaultEpoch(12)
+
+	newMap, newView := mk(2)
+	a.Rebind(newMap, newView)
+	fresh := NewResolvedView(lines, newMap, newView, ways, stride, 1)
+	if a.Voltage() != fresh.Voltage() {
+		t.Fatalf("voltage %v after Rebind, want %v", a.Voltage(), fresh.Voltage())
+	}
+	for i := 0; i < lines; i++ {
+		if a.Read(i) != fresh.Read(i) || a.ReadTrue(i) != fresh.ReadTrue(i) ||
+			a.ActiveFaultCount(i) != fresh.ActiveFaultCount(i) ||
+			a.CapableFaultCount(i) != fresh.CapableFaultCount(i) {
+			t.Fatalf("line %d differs from a fresh array after Rebind", i)
+		}
+	}
+}

@@ -118,6 +118,11 @@ func (c *Counters) Reset() {
 	}
 }
 
+// Clone returns an independent copy of c.
+func (c *Counters) Clone() *Counters {
+	return &Counters{vals: append([]uint64(nil), c.vals...)}
+}
+
 // MergeFrom adds every counter of src into c. Handles are process-wide, so
 // the sum is well-defined across instances; merging a fixed sequence of
 // instances is deterministic regardless of which goroutines incremented

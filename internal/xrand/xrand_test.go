@@ -310,3 +310,19 @@ func TestPoisson(t *testing.T) {
 		}
 	}
 }
+
+// TestSeedRestartsStream pins Seed: a used generator re-seeded in place
+// produces exactly New's stream for that seed.
+func TestSeedRestartsStream(t *testing.T) {
+	r := New(1)
+	for i := 0; i < 10; i++ {
+		r.Uint64()
+	}
+	r.Seed(42)
+	fresh := New(42)
+	for i := 0; i < 100; i++ {
+		if got, want := r.Uint64(), fresh.Uint64(); got != want {
+			t.Fatalf("draw %d after Seed = %#x, New(42) gives %#x", i, got, want)
+		}
+	}
+}
